@@ -24,15 +24,24 @@ Acceptance gates:
 * **transport**: the ensemble-process shard must ship its census home
   through shared memory — ``result_payload_bytes == 0`` pickled result
   bytes, ``shm_bytes > 0`` — enforced in both modes.
+
+The cold leg (a fresh backend per call, lowering included) also
+records the seconds its calls spend paused in the cyclic garbage
+collector (``gc.callbacks``) and the process peak RSS through it; it
+runs first, so that peak is its own.  GC time then shows as its own
+number rather than charged to whichever call happened to allocate.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pickle
 import platform
+import resource
 import sys
+import time
 from pathlib import Path
 
 _HERE = Path(__file__).resolve().parent
@@ -65,11 +74,40 @@ def census_jobs(smoke: bool) -> tuple[list, int]:
     return [(m, "") for m in machines], 256
 
 
+class GCPauses:
+    """Seconds spent in cyclic garbage collections while entered."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def _hook(self, phase: str, _info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
+
+    def __enter__(self) -> "GCPauses":
+        gc.callbacks.append(self._hook)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        gc.callbacks.remove(self._hook)
+
+
 def measure(smoke: bool, repeats: int) -> dict:
     jobs, fuel = census_jobs(smoke)
 
     def serial_census():
         return run_jobs(BUSYBEAVER, jobs, fuel=fuel, backend="serial")
+
+    # Cold: a fresh backend per call, so every repeat pays the lowering.
+    with GCPauses() as pauses:
+        cold_s = time_callable(
+            lambda: EnsembleBackend(BUSYBEAVER).execute(jobs, fuel=fuel),
+            repeats=repeats, warmup=0,
+        )
+    cold_peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     baseline = serial_census()
     baseline_s = time_callable(serial_census, repeats=repeats)
@@ -77,13 +115,9 @@ def measure(smoke: bool, repeats: int) -> dict:
     backend = EnsembleBackend(BUSYBEAVER)
     cold = backend.execute(jobs, fuel=fuel)
     assert cold == baseline, "ensemble census diverged from the serial runtime"
-    # Cold: a fresh backend per call, so every repeat pays the lowering.
-    cold_s = time_callable(
-        lambda: EnsembleBackend(BUSYBEAVER).execute(jobs, fuel=fuel),
-        repeats=repeats, warmup=0,
-    )
-    # Warm: the primed backend re-sweeps with its spec cache hot — the
-    # steady state of a census re-run under a higher fuel bound.
+    # Warm: the primed backend re-sweeps the same machine objects and
+    # reruns its last family — the steady state of a census re-run
+    # under a higher fuel bound.
     warm_s = time_callable(lambda: backend.execute(jobs, fuel=fuel), repeats=repeats)
     dispatch = dict(backend.last_dispatch)
 
@@ -110,6 +144,8 @@ def measure(smoke: bool, repeats: int) -> dict:
         "running": len(jobs) - halted,
         "baseline_seconds": baseline_s,
         "ensemble_cold_seconds": cold_s,
+        "ensemble_cold_gc_seconds": pauses.seconds / repeats,
+        "ensemble_cold_peak_rss_mb": cold_peak_rss_mb,
         "ensemble_warm_seconds": warm_s,
         "cold_speedup": baseline_s / cold_s,
         "warm_speedup": baseline_s / warm_s,
@@ -139,14 +175,15 @@ def main(argv: list[str] | None = None) -> int:
     r = measure(args.smoke, repeats)
 
     table = Table(
-        ["population", "fuel", "halted", "baseline s", "cold s", "warm s",
-         "warm speedup", "shm bytes"],
+        ["population", "fuel", "halted", "baseline s", "cold s", "cold gc s",
+         "warm s", "cold speedup", "warm speedup", "shm bytes"],
         caption="EN1: lock-step ensemble census vs the compiled per-machine"
         f" runtime ({'smoke' if args.smoke else 'full'} census)",
     )
     table.add_row(
         r["population"], r["fuel"], r["halted"], r["baseline_seconds"],
-        r["ensemble_cold_seconds"], r["ensemble_warm_seconds"],
+        r["ensemble_cold_seconds"], r["ensemble_cold_gc_seconds"],
+        r["ensemble_warm_seconds"], f"{r['cold_speedup']:.1f}x",
         f"{r['warm_speedup']:.1f}x", r["shard_dispatch"]["shm_bytes"],
     )
     emit("EN1", table)
@@ -178,7 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"PASS: {r['population']} machines x fuel {r['fuel']}:"
         f" warm {r['warm_speedup']:.1f}x (>= {required}x),"
-        f" cold {r['cold_speedup']:.1f}x,"
+        f" cold {r['cold_speedup']:.1f}x"
+        f" ({r['ensemble_cold_gc_seconds']:.3f} s/call in GC,"
+        f" peak RSS {r['ensemble_cold_peak_rss_mb']:.0f} MB),"
         f" {r['machines_per_second_warm']:,.0f} machines/s,"
         f" shm census with 0 pickled result bytes"
     )

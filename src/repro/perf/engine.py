@@ -27,7 +27,7 @@ reference interpreter transparently.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass, field
 from functools import singledispatch
 from typing import Any, Hashable, Protocol, runtime_checkable
@@ -48,6 +48,7 @@ __all__ = [
     "compile_statemachine",
     "program_key",
     "run_compiled",
+    "tm_symbols",
 ]
 
 # Symbols intern into one tape byte; every state row has 256 slots so
@@ -75,15 +76,18 @@ class CompiledMachine(Protocol):
 
 # program_key is called once per job by the batch layer, and sorting a
 # transition table per call costs more than many compiled runs save.
-# The memo is keyed by id() with the machine held strongly in the
-# entry, so an id can never be recycled while its entry is alive; the
-# `is` check below makes a stale hit impossible either way.  Sized to
-# hold an ensemble census (populations of a few 10^4): at 4096 a
-# 10^4-machine sweep evicted every entry per pass, re-sorting every
-# table on every call.  Entries are a ref plus a small key tuple, so
-# even full this stays a few MB.
-_KEY_MEMO: OrderedDict[int, tuple[TuringMachine, tuple]] = OrderedDict()
-_KEY_MEMO_MAX = 65536
+# An entry is an id-keyed weak reference carrying the key; a shared
+# callback drops it when its machine dies, before the id can be reused,
+# so the memo never keeps a machine (or a census of them) alive.
+_KEY_MEMO: dict[int, _KeyRef] = {}
+
+
+class _KeyRef(weakref.ref):
+    __slots__ = ("mid", "key")
+
+
+def _forget(entry: _KeyRef, memo: dict = _KEY_MEMO) -> None:
+    memo.pop(entry.mid, None)  # memo bound early: module globals clear at exit
 
 
 def program_key(machine: TuringMachine) -> tuple:
@@ -96,9 +100,8 @@ def program_key(machine: TuringMachine) -> tuple:
     table already makes.
     """
     entry = _KEY_MEMO.get(id(machine))
-    if entry is not None and entry[0] is machine:
-        _KEY_MEMO.move_to_end(id(machine))
-        return entry[1]
+    if entry is not None and entry() is machine:
+        return entry.key
     cls = type(machine)
     key = (
         f"{cls.__module__}.{cls.__qualname__}",
@@ -107,9 +110,9 @@ def program_key(machine: TuringMachine) -> tuple:
         machine.reject_states,
         tuple(sorted(machine.delta.items())),
     )
-    _KEY_MEMO[id(machine)] = (machine, key)
-    if len(_KEY_MEMO) > _KEY_MEMO_MAX:
-        _KEY_MEMO.popitem(last=False)
+    entry = _KeyRef(machine, _forget)
+    entry.mid, entry.key = id(machine), key  # complete before it is visible
+    _KEY_MEMO[entry.mid] = entry
     return key
 
 
@@ -299,6 +302,16 @@ def _render(tape: bytearray, names: list[str]) -> str:
     return "".join(names[b] for b in core)
 
 
+def tm_symbols(machine: TuringMachine) -> list[str]:
+    """The tape alphabet in interning order: ``BLANK`` first, then the
+    sorted rule symbols (states intern as ``sorted(machine.states())``)."""
+    symbols = {BLANK}
+    for (_, sym), (_, wsym, _) in machine.delta.items():
+        symbols.add(sym)
+        symbols.add(wsym)
+    return [BLANK] + sorted(symbols - {BLANK})
+
+
 def compile_tm(machine: TuringMachine) -> CompiledTM:
     """Intern states/symbols and flatten ``delta`` into a flat table.
 
@@ -308,11 +321,7 @@ def compile_tm(machine: TuringMachine) -> CompiledTM:
     """
     state_names = sorted(machine.states())
     state_ids = {s: i for i, s in enumerate(state_names)}
-    symbols = {BLANK}
-    for (_, sym), (_, wsym, _) in machine.delta.items():
-        symbols.add(sym)
-        symbols.add(wsym)
-    symbol_names = [BLANK] + sorted(symbols - {BLANK})
+    symbol_names = tm_symbols(machine)
     if len(symbol_names) > _MAX_SYMBOLS:
         raise ValueError(
             f"alphabet has {len(symbol_names)} symbols; at most {_MAX_SYMBOLS} compile"

@@ -34,8 +34,9 @@ randomized enumerated families, including machines that escape the
 initial window and machines that never halt under the fuel bound.
 
 A machine is *ensemble-eligible* when its states and its (input-
-extended) alphabet fit the family's caps; :exc:`EnsembleIneligible`
-routes the rest back to the per-machine warm path.  Long-tail
+extended) alphabet fit the family's caps; :func:`compile_family`
+lowers the whole population at once and reports which rows fit, and
+the caller routes the rest back to the per-machine warm path.  Long-tail
 stragglers can be abandoned mid-flight (``straggler_cutoff``): the
 survivors' partial work is discarded and the caller reruns them
 through the per-machine path, so macro-step acceleration — which the
@@ -45,16 +46,18 @@ spinners under huge fuels.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import chain, count
+from operator import attrgetter, methodcaller
 
 import numpy as np
 
 from repro.machines.turing import BLANK, MOVE_OFFSET, TuringMachine
+from repro.perf.engine import tm_symbols
 
 __all__ = [
     "EnsembleIneligible",
-    "MachineSpec",
     "EnsembleFamily",
     "EnsembleOutcome",
     "lower_machine",
@@ -70,6 +73,11 @@ _MAX_SYMBOLS = 256
 # on a boundary hit, so a small margin only costs a few reallocations.
 _PAD = 16
 
+# Per-row ranking uses a dense (rows x names) presence matrix up to
+# this many cells, and a sorted pair list beyond it (families whose
+# machines bring their own state names).
+_DENSE_CELLS = 1 << 22
+
 
 class EnsembleIneligible(ValueError):
     """This job cannot join the lock-step family (caps, types); run it
@@ -77,116 +85,12 @@ class EnsembleIneligible(ValueError):
 
 
 @dataclass
-class MachineSpec:
-    """One machine lowered for ensemble packing, cached per program.
-
-    Everything stays in plain Python lists: a census lowers tens of
-    thousands of machines and per-machine numpy small-array
-    construction costs more than the lock-step run itself.
-    :func:`compile_family` concatenates the lists across the family
-    and stamps every rule with *one* fancy-index scatter.  Interning
-    mirrors :func:`repro.perf.engine.compile_tm` (sorted states,
-    ``BLANK`` first then sorted symbols) so the two paths agree cell
-    for cell.
-    """
-
-    state_names: list[str]
-    symbol_names: list[str]
-    symbol_ids: dict[str, int]
-    initial_id: int
-    accept_ids: list[int]    # state ids flagged accepting
-    rule_states: list[int]   # parallel per-rule scatter coordinates
-    rule_symbols: list[int]
-    rule_codes: list[int]    # packed (next+1)<<16 | write<<8 | move+1
-
-    @property
-    def n_states(self) -> int:
-        return len(self.state_names)
-
-    @property
-    def n_symbols(self) -> int:
-        return len(self.symbol_names)
-
-
-def lower_machine(
-    machine: TuringMachine, *, max_states: int = 64, max_symbols: int = 32
-) -> MachineSpec:
-    """Lower one machine into a family-row spec.
-
-    Raises :exc:`EnsembleIneligible` when the machine exceeds the
-    family caps — the caller keeps it on the per-machine path.
-    """
-    if not isinstance(machine, TuringMachine):
-        raise EnsembleIneligible(f"not a TuringMachine: {type(machine).__name__}")
-    delta = machine.delta
-    states = {machine.initial}
-    states.update(machine.accept_states)
-    states.update(machine.reject_states)
-    symbols = {BLANK}
-    for (s, sym), (t, wsym, _) in delta.items():
-        states.add(s)
-        states.add(t)
-        symbols.add(sym)
-        symbols.add(wsym)
-    if len(states) > max_states:
-        raise EnsembleIneligible(
-            f"{len(states)} states exceeds the ensemble cap {max_states}"
-        )
-    state_names = sorted(states)
-    state_ids = {s: i for i, s in enumerate(state_names)}
-    symbols.discard(BLANK)
-    symbol_names = [BLANK] + sorted(symbols)
-    if len(symbol_names) > min(max_symbols, _MAX_SYMBOLS):
-        raise EnsembleIneligible(
-            f"{len(symbol_names)} symbols exceeds the ensemble cap {max_symbols}"
-        )
-    symbol_ids = {c: i for i, c in enumerate(symbol_names)}
-    halting = machine.accept_states | machine.reject_states
-    rule_states: list[int] = []
-    rule_symbols: list[int] = []
-    rule_codes: list[int] = []
-    for (s, sym), (t, wsym, move) in delta.items():
-        if s in halting:
-            continue  # the reference checks halt states before rules
-        rule_states.append(state_ids[s])
-        rule_symbols.append(symbol_ids[sym])
-        rule_codes.append(
-            ((state_ids[t] + 1) << 16) | (symbol_ids[wsym] << 8) | (MOVE_OFFSET[move] + 1)
-        )
-    return MachineSpec(
-        state_names=state_names,
-        symbol_names=symbol_names,
-        symbol_ids=symbol_ids,
-        initial_id=state_ids[machine.initial],
-        accept_ids=[state_ids[s] for s in machine.accept_states if s in state_ids],
-        rule_states=rule_states,
-        rule_symbols=rule_symbols,
-        rule_codes=rule_codes,
-    )
-
-
-def intern_input(spec: MachineSpec, tape_input: str, *, max_symbols: int = 32) -> list[str]:
-    """Input symbols outside the machine's alphabet, in first-seen order.
-
-    They intern to fresh ids past the machine's table (no rules, so
-    reading one halts — exactly the reference's ``delta.get`` miss) but
-    must survive onto the rendered tape.  Raises
-    :exc:`EnsembleIneligible` when the extended alphabet overflows the
-    family cap.
-    """
-    if not isinstance(tape_input, str):
-        raise EnsembleIneligible(f"ensemble input must be str, not {type(tape_input).__name__}")
-    extras = [c for c in dict.fromkeys(tape_input) if c not in spec.symbol_ids]
-    if spec.n_symbols + len(extras) > min(max_symbols, _MAX_SYMBOLS):
-        raise EnsembleIneligible("input symbols overflow the ensemble alphabet cap")
-    return extras
-
-
-@dataclass
 class EnsembleFamily:
     """A whole population compiled into dense lock-step arrays.
 
-    Single-use: :func:`run_family` consumes ``tape``/``head`` in place.
+    :func:`run_family` never mutates it, so one family can be run
+    again.  Names are not stored per row: a row decodes them from its
+    own machine (``jobs``) only when a result needs them.
     """
 
     table: np.ndarray        # (E, S, K) int32 packed codes; 0 = halt/no rule
@@ -194,83 +98,188 @@ class EnsembleFamily:
     initial: np.ndarray      # (E,) int32
     tape: np.ndarray         # (E, W) uint8 window, blank == 0
     head: np.ndarray         # (E,) int64 window positions
-    state_names: list[list[str]]
-    names: list[list[str]]   # per-row symbol names, input extras included
+    jobs: list[tuple[TuringMachine, str]]  # each row's machine and input
+    symbols: list[str]       # family-wide symbol names: BLANK, then sorted
+    alphabet: np.ndarray     # (E, K) row symbol id -> symbols index, -1 past the row's
 
     @property
     def population(self) -> int:
         return self.table.shape[0]
 
 
+def _rank(rows: np.ndarray, ids: np.ndarray, pop: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank each ``(row, id)`` pair among its row's distinct ids (ids
+    number a sorted family-wide name list, so the rank is the id the row
+    interns that name to on its own); also count each row's ids."""
+    cells = rows * n + ids
+    if pop * n <= _DENSE_CELLS:
+        used = np.zeros(pop * n, dtype=bool)
+        used[cells] = True
+        ranks = used.reshape(pop, n).cumsum(axis=1, dtype=np.int32)
+        return ranks.ravel()[cells] - 1, ranks[:, -1]
+    present = np.unique(cells)
+    starts = np.searchsorted(present, np.arange(pop + 1) * n)
+    return np.searchsorted(present, cells) - starts[rows], np.diff(starts)
+
+
+def _ids(names: dict, values, n: int) -> np.ndarray:
+    return np.fromiter(map(names.__getitem__, values), dtype=np.int64, count=n)
+
+
 def compile_family(
-    entries: list[tuple[MachineSpec, list[str], str]]
-) -> EnsembleFamily:
-    """Stack ``(spec, input_extras, input)`` rows into one family.
+    jobs: list[tuple], *, max_states: int = 64, max_symbols: int = 32
+) -> tuple[EnsembleFamily | None, list[int]]:
+    """Lower ``(machine, input)`` jobs into one lock-step family.
 
-    One scatter stamps every machine's rules into the shared
-    ``(pop, states, symbols)`` table; inputs are interned into the
-    initial tape window with a shared left/right margin.
+    Returns ``(family, rows)``: family row ``e`` runs ``jobs[rows[e]]``,
+    and ``family`` is ``None`` when no job fits.  A job fits when its
+    program is a :class:`TuringMachine`, its input a ``str``, and its
+    states and input-extended alphabet are within the caps; the rest
+    belong on the per-machine path.
+
+    Every ``delta`` is read once, into flat per-rule columns.  Names
+    are interned family-wide in sorted order and ranked per row, so a
+    row's ids are exactly :func:`~repro.perf.engine.compile_tm`'s:
+    sorted states; ``BLANK``, then the sorted rule symbols, then input
+    symbols outside that alphabet in first-seen order.  The caps and
+    the halting-state rule skip are masks over those columns, and one
+    scatter stamps every surviving rule into the table.
     """
-    pop = len(entries)
-    n_states = max(spec.n_states for spec, _, _ in entries)
-    n_symbols = max(spec.n_symbols + len(extras) for spec, extras, _ in entries)
-    table = np.zeros((pop, n_states, n_symbols), dtype=np.int32)
-    accept = np.zeros((pop, n_states), dtype=bool)
-    initial_ids: list[int] = []
-    state_names: list[list[str]] = []
-    names: list[list[str]] = []
+    cand = [i for i, (machine, tape_input) in enumerate(jobs)
+            if isinstance(machine, TuringMachine) and isinstance(tape_input, str)]
+    pop = len(cand)
+    if not pop or max_symbols < 1:
+        return None, []
+    machines = [jobs[i][0] for i in cand]
+    inputs = [jobs[i][1] for i in cand]
+    deltas = list(map(attrgetter("delta"), machines))
+    accepts = list(map(attrgetter("accept_states"), machines))
+    rejects = list(map(attrgetter("reject_states"), machines))
+    every = np.arange(pop)
 
-    # Flat Python accumulation + one materialisation per axis + one
-    # scatter: at census scale this is ~3x cheaper than building
-    # per-machine arrays and concatenating them.
-    r_rows: list[int] = []
-    r_states: list[int] = []
-    r_symbols: list[int] = []
-    r_codes: list[int] = []
-    a_rows: list[int] = []
-    a_states: list[int] = []
-    for e, (spec, extras, _) in enumerate(entries):
-        initial_ids.append(spec.initial_id)
-        state_names.append(spec.state_names)
-        names.append(spec.symbol_names + extras if extras else spec.symbol_names)
-        codes = spec.rule_codes
-        if codes:
-            r_rows.extend([e] * len(codes))
-            r_states.extend(spec.rule_states)
-            r_symbols.extend(spec.rule_symbols)
-            r_codes.extend(codes)
-        if spec.accept_ids:
-            a_rows.extend([e] * len(spec.accept_ids))
-            a_states.extend(spec.accept_ids)
-    if r_rows:
-        table[
-            np.array(r_rows, dtype=np.int32),
-            np.array(r_states, dtype=np.int32),
-            np.array(r_symbols, dtype=np.int32),
-        ] = np.array(r_codes, dtype=np.int32)
-    if a_rows:
-        accept[np.array(a_rows, dtype=np.int32), np.array(a_states, dtype=np.int32)] = True
-    initial = np.array(initial_ids, dtype=np.int32)
+    # -- one read of every delta: each distinct rule gets a small id ---------
+    rule_row = np.repeat(every, np.fromiter(map(len, deltas), dtype=np.int64, count=pop))
+    n_rules = rule_row.size
+    rules: dict = defaultdict(count().__next__)
+    rule_of = _ids(rules, chain.from_iterable(map(methodcaller("items"), deltas)), n_rules)
+    src = [s for (s, _), _ in rules]
+    read = [c for (_, c), _ in rules]
+    nxt = [t for _, (t, _, _) in rules]
+    write = [w for _, (_, w, _) in rules]
+    move = np.array([MOVE_OFFSET[m] + 1 for _, (_, _, m) in rules], dtype=np.int32)
 
-    width = max(len(tape_input) for _, _, tape_input in entries)
-    tape = np.zeros((pop, width + 2 * _PAD), dtype=np.uint8)
-    head = np.full(pop, _PAD, dtype=np.int64)
-    for e, (spec, extras, tape_input) in enumerate(entries):
-        if not tape_input:
-            continue
-        ids = dict(spec.symbol_ids)
-        for i, c in enumerate(extras):
-            ids[c] = spec.n_symbols + i
-        tape[e, _PAD : _PAD + len(tape_input)] = [ids[c] for c in tape_input]
-    return EnsembleFamily(
+    # -- family-wide sorted names ---------------------------------------------
+    initial = list(map(attrgetter("initial"), machines))
+    try:  # names of unlike types (int and str states, say) sort only per machine
+        state_names = sorted({*src, *nxt, *initial}.union(*accepts, *rejects))
+        symbol_names = [BLANK, *sorted({*read, *write}.union(*inputs) - {BLANK})]
+    except TypeError:
+        return None, []
+    state_id = dict(zip(state_names, count()))
+    symbol_id = dict(zip(symbol_names, count()))
+
+    # -- states: rank per row, cap ----------------------------------------
+    acc_row = np.repeat(every, list(map(len, accepts)))
+    rej_row = np.repeat(every, list(map(len, rejects)))
+    state_ids = np.concatenate([
+        _ids(state_id, src, len(rules))[rule_of],
+        _ids(state_id, nxt, len(rules))[rule_of],
+        _ids(state_id, initial, pop),
+        _ids(state_id, chain.from_iterable(accepts), acc_row.size),
+        _ids(state_id, chain.from_iterable(rejects), rej_row.size),
+    ])
+    local, n_states = _rank(
+        np.concatenate([rule_row, rule_row, every, acc_row, rej_row]),
+        state_ids, pop, len(state_names),
+    )
+    s_loc, t_loc, init_loc, acc_loc, rej_loc = np.split(
+        local, np.cumsum([n_rules, n_rules, pop, acc_row.size])
+    )
+
+    # -- symbols: rank per row, then input extras after the alphabet ------
+    sym_row = np.concatenate([every, rule_row, rule_row])
+    sym_ids = np.concatenate([
+        np.zeros(pop, dtype=np.int64),  # BLANK: every row's symbol 0
+        _ids(symbol_id, read, len(rules))[rule_of],
+        _ids(symbol_id, write, len(rules))[rule_of],
+    ])
+    local, n_syms = _rank(sym_row, sym_ids, pop, len(symbol_names))
+    c_loc, w_loc = np.split(local[pop:], 2)
+    cap = min(max_symbols, _MAX_SYMBOLS)
+    fit = (n_states <= max_states) & (n_syms <= cap)
+    width = int(min(n_syms.max(), cap))
+    alphabet = np.full((pop, cap), -1, dtype=np.int32)
+    inside = local < width  # rows over the cap are dropped below anyway
+    alphabet[sym_row[inside], local[inside]] = sym_ids[inside]
+
+    lengths = np.fromiter(map(len, inputs), dtype=np.int64, count=pop)
+    char_row = np.repeat(every, lengths)
+    char_ids = _ids(symbol_id, chain.from_iterable(inputs), char_row.size)
+    hit = alphabet[char_row, :width] == char_ids[:, None]
+    char_loc = hit.argmax(axis=1)
+    miss = np.flatnonzero(~hit.any(axis=1))
+    _, first, group = np.unique(
+        char_row[miss] * len(symbol_names) + char_ids[miss],
+        return_index=True,
+        return_inverse=True,
+    )
+    seen = miss[np.sort(first)]  # each extra's first cell, rows ascending
+    owner = char_row[seen]
+    slot = n_syms[owner] + np.arange(seen.size) - np.searchsorted(owner, owner)
+    char_loc[miss] = slot[np.argsort(np.argsort(first))[group]]
+    n_extra = np.bincount(owner, minlength=pop)
+    fit &= n_syms + n_extra <= cap
+    ok = slot < cap
+    alphabet[owner[ok], slot[ok]] = char_ids[seen[ok]]
+
+    # -- stamp the rows that fit ------------------------------------------
+    keep = np.flatnonzero(fit)
+    if not keep.size:
+        return None, []
+    row_of = np.cumsum(fit) - 1
+    n_states_max = int(n_states[keep].max())
+    accept = np.zeros((keep.size, n_states_max), dtype=bool)
+    a = fit[acc_row]
+    accept[row_of[acc_row[a]], acc_loc[a]] = True
+    halting = accept.copy()
+    r = fit[rej_row]
+    halting[row_of[rej_row[r]], rej_loc[r]] = True  # the reference checks halt states first
+
+    rule = np.flatnonzero(fit[rule_row])
+    rule = rule[~halting[row_of[rule_row[rule]], s_loc[rule]]]
+    table = np.zeros(
+        (keep.size, n_states_max, int((n_syms + n_extra)[keep].max())), dtype=np.int32
+    )
+    table[row_of[rule_row[rule]], s_loc[rule], c_loc[rule]] = (
+        ((t_loc[rule] + 1) << 16) | (w_loc[rule] << 8) | move[rule_of[rule]]
+    )
+
+    tape = np.zeros((keep.size, int(lengths[keep].max()) + 2 * _PAD), dtype=np.uint8)
+    cells = np.flatnonzero(fit[char_row])
+    offset = np.arange(char_row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    tape[row_of[char_row[cells]], _PAD + offset[cells]] = char_loc[cells]
+    family = EnsembleFamily(
         table=table,
         accept=accept,
-        initial=initial,
+        initial=init_loc[keep].astype(np.int32),
         tape=tape,
-        head=head,
-        state_names=state_names,
-        names=names,
+        head=np.full(keep.size, _PAD, dtype=np.int64),
+        jobs=[jobs[cand[i]] for i in keep.tolist()],
+        symbols=symbol_names,
+        alphabet=alphabet[keep, : table.shape[2]],
     )
+    return family, [cand[i] for i in keep.tolist()]
+
+
+def lower_machine(
+    machine: TuringMachine, *, max_states: int = 64, max_symbols: int = 32
+) -> EnsembleFamily:
+    """One machine on a blank tape as a one-row family; raises
+    :exc:`EnsembleIneligible` when it does not fit the caps."""
+    family, _ = compile_family([(machine, "")], max_states=max_states, max_symbols=max_symbols)
+    if family is None:
+        raise EnsembleIneligible(f"{machine!r:.60} does not fit the ensemble caps")
+    return family
 
 
 @dataclass
@@ -283,6 +292,7 @@ class EnsembleOutcome:
     """
 
     family: EnsembleFamily
+    tape: np.ndarray         # (E, W) final tape window
     halted: np.ndarray       # (E,) bool
     accepted: np.ndarray     # (E,) bool
     steps: np.ndarray        # (E,) int64
@@ -294,21 +304,25 @@ class EnsembleOutcome:
     _count_memo: dict = field(default_factory=dict, repr=False)
 
     def state_name(self, row: int) -> str:
-        return self.family.state_names[row][int(self.final_state[row])]
+        """The final state's name, interned from the row's own machine
+        exactly as ``compile_tm`` interns it (the very same ``str``)."""
+        machine = self.family.jobs[row][0]
+        return sorted(machine.states())[int(self.final_state[row])]
 
     def tape_string(self, row: int) -> str:
         """The same trimmed tape string the reference renders."""
-        core = self.family.tape[row].tobytes().strip(b"\x00")
+        core = self.tape[row].tobytes().strip(b"\x00")
         if not core:
             return ""
-        names = self.family.names[row]
+        machine, tape_input = self.family.jobs[row]
+        names = tm_symbols(machine)
+        known = set(names)
+        names += [c for c in dict.fromkeys(tape_input) if c not in known]
         key = tuple(names)
         trans = self._trans_memo.get(key)
         if trans is None:
             if all(len(n) == 1 and ord(n) < 128 for n in names):
-                trans = bytes(
-                    ord(names[i]) if i < len(names) else 0 for i in range(256)
-                )
+                trans = "".join(names).encode("ascii").ljust(256, b"\x00")
             else:
                 trans = False  # multi-char or non-ascii symbols: slow path
             self._trans_memo[key] = trans
@@ -327,14 +341,12 @@ class EnsembleOutcome:
             raise ValueError("cannot count the blank symbol: it is the window padding")
         counts = self._count_memo.get(char)
         if counts is None:
-            names = self.family.names
-            targets = np.fromiter(
-                (names[e].index(char) if char in names[e] else -1 for e in range(len(names))),
-                dtype=np.int16,
-                count=len(names),
-            )
-            counts = (self.family.tape == targets[:, None]).sum(axis=1)
-            counts[targets < 0] = 0
+            symbols = self.family.symbols
+            wanted = symbols.index(char) if char in symbols else -2  # -1 is padding
+            hit = self.family.alphabet == wanted
+            target = hit.argmax(axis=1).astype(np.uint8)[:, None]
+            counts = np.count_nonzero(self.tape == target, axis=1)
+            counts[~hit.any(axis=1)] = 0  # char outside the row's alphabet
             self._count_memo[char] = counts
         return counts
 
@@ -355,7 +367,7 @@ def run_family(
     back flagged ``abandoned`` with no partial state leaked.
     """
     pop = family.population
-    tape, head = family.tape, family.head
+    tape = family.tape.copy()
     halted = np.zeros(pop, dtype=bool)
     accepted = np.zeros(pop, dtype=bool)
     steps = np.zeros(pop, dtype=np.int64)
@@ -364,7 +376,7 @@ def run_family(
 
     idx = np.arange(pop)
     st = family.initial.astype(np.int32, copy=True)
-    h = head.copy()  # live heads, compacted alongside idx/st
+    h = family.head.copy()  # live heads, compacted alongside idx/st
     table, accept = family.table, family.accept
     width = tape.shape[1]
     t = 0
@@ -402,13 +414,13 @@ def run_family(
             if left:
                 h += left
             width = tape.shape[1]
-            family.tape = tape
             grows += 1
     if idx.size:  # fuel exhausted: the honest "still running" verdict
         final_state[idx] = st
         steps[idx] = fuel
     return EnsembleOutcome(
         family=family,
+        tape=tape,
         halted=halted,
         accepted=accepted,
         steps=steps,

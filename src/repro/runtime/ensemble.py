@@ -37,7 +37,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from collections import OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from typing import Any, Protocol, runtime_checkable
@@ -48,8 +47,7 @@ from repro.perf.ensemble_engine import (
     EnsembleIneligible,
     EnsembleOutcome,
     compile_family,
-    intern_input,
-    lower_machine,
+    lower_machine,  # noqa: F401 - re-exported: perfbench's census trace wraps it
     run_family,
 )
 from repro.runtime.core import (
@@ -127,19 +125,18 @@ def _run_ensemble(
     *,
     fuel: int,
     compiled: bool,
-    spec_cache: OrderedDict | None = None,
-    spec_cache_size: int = 16384,
     max_states: int = 64,
     max_symbols: int = 32,
     min_population: int = 16,
     straggler_cutoff: int | None = None,
+    last: list | None = None,
 ) -> tuple[list[Any], dict[str, int], tuple[EnsembleOutcome, list[int]] | None]:
     """The ensemble execution core both backends share.
 
     Returns ``(results, stats, pack_info)``: one exact result per job
-    in order; the resident-cache tallies (spec-cache hits/misses for
-    batched jobs, compile cache for fallback ones) plus the
-    ``unique_jobs``/``deduped``/``ensemble_jobs``/``fallback_jobs``/
+    in order; the cache tallies (a miss per job lowered, a hit per job
+    whose lowering was reused, the compile cache for fallback jobs) plus
+    the ``unique_jobs``/``deduped``/``ensemble_jobs``/``fallback_jobs``/
     ``lock_steps`` accounting; and, when a family actually ran,
     ``(outcome, job_rows)`` giving each job its family row (``-1`` for
     fallback jobs) — what shared-memory packing needs.
@@ -151,6 +148,11 @@ def _run_ensemble(
     ``compiled=False`` keeps the ``run_direct`` contract literally —
     everything takes the fallback loop — because the caller asked for
     the reference path, not an equivalent one.
+
+    ``last`` is the caller's one-item slot for the previous lowering,
+    ``(jobs, family, rows)``: when every job's program ``is`` the one
+    at the same position last time (with an equal input), that family
+    runs again; otherwise the slot takes the new lowering.
     """
     jobs = list(jobs)
     stats = {
@@ -175,74 +177,45 @@ def _run_ensemble(
     unique_results: list[Any] = [None] * len(unique)
     row_of_unique = [-1] * len(unique)
 
-    # -- partition: lower what fits, remember what does not ------------------
-    entries: list[tuple] = []
-    rows: list[int] = []  # family row -> unique-job index
-    fallback: list[int] = []
-    if compiled:
-        cache = spec_cache if spec_cache is not None else OrderedDict()
-        get_machine = workload.ensemble_program
-        for u, (program, input) in enumerate(unique):
-            key = id(program)
-            hit = cache.get(key)
-            if hit is not None and hit[0] is program:
-                spec = hit[1]
-                stats["hits"] += 1
-            else:
-                try:
-                    spec = lower_machine(
-                        get_machine(program),
-                        max_states=max_states,
-                        max_symbols=max_symbols,
-                    )
-                except EnsembleIneligible:
-                    spec = None
-                stats["misses"] += 1
-                cache[key] = (program, spec)
-                if len(cache) > spec_cache_size:
-                    cache.popitem(last=False)
-            if spec is None:
-                fallback.append(u)
-                continue
-            try:
-                extras = (
-                    []
-                    if input == ""
-                    else intern_input(spec, input, max_symbols=max_symbols)
-                )
-            except EnsembleIneligible:
-                fallback.append(u)
-                continue
-            entries.append((spec, extras, input))
-            rows.append(u)
-        stats["size"] = len(cache)
-    else:
-        fallback = list(range(len(unique)))
-
-    # -- lock-step the family, or bail to the warm path wholesale ------------
+    # -- lower the whole family at once, lock-step the rows that fit ---------
     outcome: EnsembleOutcome | None = None
-    if entries and len(entries) >= min_population:
-        cutoff = (
-            straggler_cutoff
-            if straggler_cutoff is not None
-            else max(0, len(entries) // 64)
-        )
-        outcome = run_family(compile_family(entries), fuel=fuel, straggler_cutoff=cutoff)
-        family_results = workload.ensemble_results(outcome)
-        abandoned = outcome.abandoned
-        for row, u in enumerate(rows):
-            if abandoned[row]:
-                fallback.append(u)  # rerun from scratch: no partial state
-            else:
-                unique_results[u] = family_results[row]
-                row_of_unique[u] = row
-        stats["lock_steps"] = outcome.lock_steps
-    elif entries:  # too small to amortise array setup
-        fallback.extend(rows)
+    if compiled and len(unique) >= min_population:
+        get_machine = workload.ensemble_program
+        lowered = []
+        for program, input in unique:
+            try:
+                lowered.append((get_machine(program), input))
+            except EnsembleIneligible:
+                lowered.append((None, input))
+        prev = last[0] if last else None
+        if prev is not None and _same_jobs(prev[0], lowered):
+            _, family, rows = prev
+            stats["hits"] += len(lowered)
+        else:
+            family, rows = compile_family(
+                lowered, max_states=max_states, max_symbols=max_symbols
+            )
+            stats["misses"] += len(lowered)
+            if last is not None:
+                last[0] = (lowered, family, rows)
+        # Too few rows fit to amortise array setup: all take the warm path.
+        if len(rows) >= min_population:
+            cutoff = (
+                straggler_cutoff
+                if straggler_cutoff is not None
+                else max(0, len(rows) // 64)
+            )
+            outcome = run_family(family, fuel=fuel, straggler_cutoff=cutoff)
+            family_results = workload.ensemble_results(outcome)
+            for row, (u, abandoned) in enumerate(zip(rows, outcome.abandoned.tolist())):
+                if not abandoned:  # abandoned rows rerun from scratch below
+                    unique_results[u] = family_results[row]
+                    row_of_unique[u] = row
+            stats["lock_steps"] = outcome.lock_steps
 
     # -- the fallback loop: the exact warm per-machine path ------------------
+    fallback = [u for u, row in enumerate(row_of_unique) if row < 0]
     if fallback:
-        fallback.sort()
         fb_jobs = [unique[u] for u in fallback]
         fb_cache = ResidentCache(workload) if compiled else None
         fb_results = run_job_loop(workload, fb_jobs, fuel, compiled, fb_cache)
@@ -267,6 +240,12 @@ def _run_ensemble(
     return results, stats, pack_info
 
 
+def _same_jobs(old: list[Job], new: list[Job]) -> bool:
+    return len(old) == len(new) and all(
+        a[0] is b[0] and a[1] == b[1] for a, b in zip(old, new)
+    )
+
+
 def _count_ensemble_obs(backend: str, stats: dict[str, int], batches: int = 1) -> None:
     if not OBS.enabled:
         return
@@ -279,14 +258,16 @@ def _count_ensemble_obs(backend: str, stats: dict[str, int], batches: int = 1) -
 class EnsembleBackend:
     """In-process lock-step execution with an exact per-machine fallback.
 
-    The spec cache is id-keyed (like the engine's ``program_key``
-    memo): re-running the same machine objects — a census re-swept
-    under a higher fuel, a warm benchmark loop — skips re-lowering
-    entirely.  ``min_population`` keeps tiny batches on the fallback
-    path where per-job dispatch is already optimal; the straggler
-    cutoff (default ``population // 64``) hands the long tail back to
-    the compiled engine, whose macro-stepping handles lone spinners
-    better than lock-step arrays do.
+    A batch is lowered in one family pass
+    (:func:`~repro.perf.ensemble_engine.compile_family`); nothing is
+    cached per machine.  The backend keeps only its *last* family,
+    reused when every job's program ``is`` the previous call's (a
+    census re-swept under a higher fuel) and released by ``close()``.
+    ``min_population`` keeps tiny batches on the fallback path
+    where per-job dispatch is already optimal; the straggler cutoff
+    (default ``population // 64``) hands the long tail back to the
+    compiled engine, whose macro-stepping handles lone spinners better
+    than lock-step arrays do.
     """
 
     name = "ensemble"
@@ -299,20 +280,16 @@ class EnsembleBackend:
         max_states: int = 64,
         max_symbols: int = 32,
         straggler_cutoff: int | None = None,
-        spec_cache_size: int = 16384,
     ) -> None:
         _require_capable(workload)
         if min_population < 1:
             raise ValueError("min_population must be >= 1")
-        if spec_cache_size < 1:
-            raise ValueError("spec_cache_size must be >= 1")
         self.workload = workload
         self.min_population = min_population
         self.max_states = max_states
         self.max_symbols = max_symbols
         self.straggler_cutoff = straggler_cutoff
-        self.spec_cache_size = spec_cache_size
-        self._specs: OrderedDict = OrderedDict()
+        self._last: list = [None]
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
         self.last_dispatch: dict[str, int] = {}
 
@@ -346,8 +323,9 @@ class EnsembleBackend:
         """Nothing to restart: in-process execution has no pool."""
 
     def close(self) -> None:
-        """Nothing to release; the spec cache stays warm on purpose."""
+        """Release the last family; there is no pool."""
         enter_close(self)
+        self._last[0] = None
 
     # -- execution -----------------------------------------------------------
 
@@ -359,12 +337,11 @@ class EnsembleBackend:
             jobs,
             fuel=fuel,
             compiled=compiled,
-            spec_cache=self._specs,
-            spec_cache_size=self.spec_cache_size,
             max_states=self.max_states,
             max_symbols=self.max_symbols,
             min_population=self.min_population,
             straggler_cutoff=self.straggler_cutoff,
+            last=self._last,
         )
 
     def execute(

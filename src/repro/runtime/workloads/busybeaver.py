@@ -71,11 +71,11 @@ class BusyBeaverWorkload(WorkloadBase):
     # -- EnsembleCapable -----------------------------------------------------
 
     def ensemble_program(self, program: TuringMachine) -> TuringMachine:
-        return program  # lower_machine type-checks and caps it
+        return program  # compile_family type-checks and caps it
 
     def ensemble_results(self, outcome) -> list[BBScore]:
         return [
-            BBScore(ones=o, steps=s, halted=h)
+            BBScore(o, s, h)
             for o, s, h in zip(
                 outcome.count_symbol("1").tolist(),
                 outcome.steps.tolist(),

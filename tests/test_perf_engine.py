@@ -7,13 +7,19 @@ states — across both paths, over the standard machine library and
 randomly generated machines, including fuel-exhaustion edge cases.
 """
 
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.statemachine import StateMachine
 from repro.machines.automata import DFA, NFA
-from repro.machines.busybeaver import busy_beaver_machine
+from repro.machines.busybeaver import busy_beaver_machine, enumerate_machines
 from repro.machines.turing import (
     BLANK,
     TuringMachine,
@@ -22,6 +28,7 @@ from repro.machines.turing import (
     palindrome_checker,
     unary_adder,
 )
+from repro.perf import engine
 from repro.perf.engine import (
     CompiledMachine,
     CompiledTM,
@@ -29,6 +36,7 @@ from repro.perf.engine import (
     compile_machine,
     compile_statemachine,
     compile_tm,
+    program_key,
     run_compiled,
 )
 
@@ -249,3 +257,73 @@ def test_compile_machine_dispatch():
 def test_compile_machine_unknown_type():
     with pytest.raises(TypeError):
         compile_machine(42)
+
+
+# -- The program_key memo ----------------------------------------------------
+
+
+def _fresh_key(machine):
+    """The key computed from scratch: an equal machine in a new object."""
+    return program_key(pickle.loads(pickle.dumps(machine)))
+
+
+def test_program_key_concurrent_hot_machine_and_stream():
+    """Threads re-key a hot machine while others key streams of machines
+    that die right after keying, so entries come and go under the hot
+    lookups: no exception, and every key is the fresh one."""
+    hot = busy_beaver_machine(4)
+    stream = enumerate_machines(3, 20_000, seed=1)
+    hot_keys, stream_keys, errors = [], {}, []
+    done = threading.Event()
+
+    def keep_hot():
+        try:
+            while not done.is_set():
+                hot_keys.append(program_key(hot))
+        except Exception as exc:  # pragma: no cover - the regression
+            errors.append(exc)
+
+    def key_stream(part):
+        try:
+            stream_keys[part] = [
+                program_key(TuringMachine(dict(m.delta), m.initial, m.accept_states))
+                for m in stream[part::2]
+            ]
+        except Exception as exc:  # pragma: no cover - the regression
+            errors.append(exc)
+
+    hot_threads = [threading.Thread(target=keep_hot) for _ in range(2)]
+    streams = [threading.Thread(target=key_stream, args=(part,)) for part in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in hot_threads + streams:
+            thread.start()
+        for thread in streams:
+            thread.join(timeout=120)
+    finally:
+        done.set()
+        for thread in hot_threads:
+            thread.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in hot_threads + streams)
+    assert not errors
+    assert hot_keys
+    fresh = _fresh_key(hot)
+    assert all(key == fresh for key in hot_keys)
+    for part in (0, 1):
+        assert stream_keys[part] == [program_key(m) for m in stream[part::2]]
+
+
+def test_program_key_memo_does_not_keep_machines_alive():
+    gc.collect()
+    before = len(engine._KEY_MEMO)
+    machines = enumerate_machines(3, 500, seed=2)
+    keys = [program_key(m) for m in machines]
+    assert len(engine._KEY_MEMO) == before + 500
+    refs = [weakref.ref(m) for m in machines]
+    del machines
+    gc.collect()
+    assert len(engine._KEY_MEMO) == before
+    assert all(ref() is None for ref in refs)
+    assert len(keys) == 500

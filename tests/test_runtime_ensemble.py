@@ -2,7 +2,9 @@
 per-machine reference, content interning, shared-memory result
 transport, fault recovery, and the deterministic machine enumerator."""
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -14,12 +16,19 @@ from repro.machines.busybeaver import (
     halting_survey,
     score_sweep,
 )
-from repro.machines.turing import BLANK, TuringMachine
+from repro.machines.turing import (
+    BLANK,
+    TuringMachine,
+    binary_increment,
+    copier,
+    palindrome_checker,
+    unary_adder,
+)
 from repro.obs.instrument import observed
+from repro.perf import ensemble_engine
 from repro.perf.ensemble_engine import (
     EnsembleIneligible,
     compile_family,
-    intern_input,
     lower_machine,
     run_family,
 )
@@ -37,6 +46,24 @@ def family_jobs(n, pop, seed, input=""):
 
 def reference(workload, jobs, fuel=FUEL):
     return [workload.run_direct(program, input, fuel) for program, input in jobs]
+
+
+LIBRARY = [binary_increment, palindrome_checker, unary_adder, copier]
+
+
+def _renamed(machine, suffix):
+    """The machine with every state renamed; each occurrence of a name
+    is its own ``str`` object, equal to the others but not identical."""
+
+    def n(state):
+        return state + suffix
+
+    return TuringMachine(
+        delta={(n(s), c): (n(t), w, m) for (s, c), (t, w, m) in machine.delta.items()},
+        initial=n(machine.initial),
+        accept_states=frozenset(n(s) for s in machine.accept_states),
+        reject_states=frozenset(n(s) for s in machine.reject_states),
+    )
 
 
 # -- the enumerator ----------------------------------------------------------
@@ -137,17 +164,88 @@ def test_ensemble_window_escapers_grow_exactly():
 
 
 def test_engine_outcome_reports_growth():
-    spec = lower_machine(
-        TuringMachine(
-            delta={("A", BLANK): ("A", "1", "L")},
-            initial="A",
-            accept_states=frozenset({"Z"}),
-        )
+    runner = TuringMachine(
+        delta={("A", BLANK): ("A", "1", "L")},
+        initial="A",
+        accept_states=frozenset({"Z"}),
     )
-    outcome = run_family(compile_family([(spec, [], "")] * 20), fuel=200)
+    assert lower_machine(runner).population == 1
+    family, rows = compile_family([(runner, "")] * 20)
+    assert rows == list(range(20))
+    outcome = run_family(family, fuel=200)
     assert outcome.grows > 0
     assert not outcome.halted.any()
     assert (outcome.steps == 200).all()
+    # The family is left untouched, so it runs again to the same tapes.
+    again = run_family(family, fuel=200)
+    assert (again.tape == outcome.tape).all()
+    assert again.tape_string(0) == runner.run("", fuel=200).tape
+
+
+def test_count_symbol_matches_rendered_tapes():
+    """The vectorised count equals counting the rendered tape, for
+    symbols in a row's alphabet, input-only extras and absent ones."""
+    jobs = []
+    for n, tape in ((2, ""), (2, "1x1"), (3, "+11"), (3, "x")):
+        jobs += family_jobs(n, 30, seed=n, input=tape)
+    jobs += [(copier(), "111"), (unary_adder(), "11+1")]
+    family, rows = compile_family(jobs)
+    assert rows == list(range(len(jobs)))
+    outcome = run_family(family, fuel=FUEL)
+    for char in "1x+q":
+        expected = [outcome.tape_string(r).count(char) for r in range(len(jobs))]
+        assert outcome.count_symbol(char).tolist() == expected
+    with pytest.raises(ValueError):
+        outcome.count_symbol(BLANK)
+
+
+def test_sparse_ranking_lowers_identically(monkeypatch):
+    """Past the dense-matrix budget names are ranked from a sorted
+    pair list instead; the lowered family is the same array for array."""
+    renamed = [_renamed(make(), f"_{i}") for i, make in enumerate(LIBRARY * 3)]
+    jobs = [(machine, tape) for machine in renamed for tape in ("", "1011", "ab")]
+    jobs += family_jobs(3, 60, seed=3, input="1x")
+    dense, rows = compile_family(jobs, max_symbols=8)
+    monkeypatch.setattr(ensemble_engine, "_DENSE_CELLS", 0)
+    sparse, sparse_rows = compile_family(jobs, max_symbols=8)
+    assert sparse_rows == rows
+    for name in ("table", "accept", "initial", "tape", "head", "alphabet"):
+        assert (getattr(sparse, name) == getattr(dense, name)).all(), name
+    assert pickle.dumps(
+        EnsembleBackend(MACHINES, max_symbols=8).execute(jobs, fuel=FUEL)
+    ) == pickle.dumps(run_jobs("machines", jobs, fuel=FUEL, backend="serial"))
+
+
+def _mixed_family():
+    jobs = []
+    for n in range(1, 5):
+        machines = enumerate_machines(n, 24, seed=n)
+        for tape in ("", "1", "11_1", "1x1"):
+            jobs += [(m, tape) for m in machines]
+    for make in LIBRARY:
+        for suffix in ("_p", "_q"):
+            machine = _renamed(make(), suffix)
+            jobs += [(machine, tape) for tape in ("", "1", "11+1", "1011", "abba", "1x1")]
+    return jobs
+
+
+@pytest.mark.parametrize("fuel", [0, 1, 7, 64, 300])
+@pytest.mark.parametrize(
+    "caps",
+    [{}, {"max_states": 4}, {"max_symbols": 3}, {"min_population": 1}],
+    ids=["default", "max_states=4", "max_symbols=3", "min_population=1"],
+)
+def test_machines_results_pickle_identical_to_serial(caps, fuel):
+    """Full TMResults (tapes, final-state ``str`` objects) pickle to
+    the same bytes as the serial runtime's: enumerated families on
+    several inputs, renamed library machines with reject states,
+    ``+``/``x`` symbols and state names held in distinct ``str``
+    objects, under caps that split the batch between both paths."""
+    jobs = _mixed_family()
+    serial = run_jobs("machines", jobs, fuel=fuel, backend="serial")
+    backend = EnsembleBackend(MACHINES, **caps)
+    assert pickle.dumps(backend.execute(jobs, fuel=fuel)) == pickle.dumps(serial)
+    assert backend.last_dispatch["ensemble_jobs"] > 0
 
 
 # -- interning: equal jobs share one result object ---------------------------
@@ -221,28 +319,63 @@ def test_incapable_workload_rejected():
         EnsembleBackend(ENCODED_MACHINES)
 
 
-def test_spec_cache_warms_across_executes():
+def test_last_family_reused_only_for_the_same_machines():
     jobs = family_jobs(2, 40, seed=5)
     backend = EnsembleBackend(BUSYBEAVER)
     first = backend.execute(jobs, fuel=FUEL)
     assert backend.last_cache_stats["misses"] == 40
+    # The very same machine objects: the last family runs again.
     second = backend.execute(jobs, fuel=FUEL)
     assert second == first
+    assert pickle.dumps(second) == pickle.dumps(first)
     assert backend.last_cache_stats["hits"] == 40
     assert backend.last_cache_stats["misses"] == 0
+    # Equal machines in new objects, or a changed input, re-lower.
+    copies = pickle.loads(pickle.dumps(jobs))
+    assert pickle.dumps(backend.execute(copies, fuel=FUEL)) == pickle.dumps(first)
+    assert backend.last_cache_stats["misses"] == 40
+    assert backend.last_cache_stats["hits"] == 0
+    retaped = [(m, "1") for m, _ in copies]
+    assert backend.execute(retaped, fuel=FUEL) == reference(BUSYBEAVER, retaped)
+    assert backend.last_cache_stats["misses"] == 40
+    # close() releases the family, and with it the machines.
+    probe = weakref.ref(copies[0][0])
+    del copies, retaped
+    backend.close()
+    gc.collect()
+    assert probe() is None
 
 
 # -- the engine's own guardrails ---------------------------------------------
 
 
-def test_lower_machine_caps():
+def test_compile_family_caps():
     big = {("S%d" % i, BLANK): ("S%d" % (i + 1), "1", "R") for i in range(10)}
     machine = TuringMachine(delta=big, initial="S0", accept_states=frozenset())
     with pytest.raises(EnsembleIneligible):
         lower_machine(machine, max_states=4)
-    spec = lower_machine(machine)  # default caps admit it
-    with pytest.raises(EnsembleIneligible):
-        intern_input(spec, "abcdef", max_symbols=2)
+    assert compile_family([(machine, "")], max_states=4) == (None, [])
+    assert lower_machine(machine).population == 1  # default caps admit it
+    # Input symbols outside the alphabet extend it past the cap; an
+    # input symbol the machine already has does not.
+    family, rows = compile_family(
+        [(machine, ""), (machine, "abcdef"), (machine, "1_1")], max_symbols=2
+    )
+    assert rows == [0, 2]
+    # Programs that are not machines and inputs that are not strings
+    # never join the family.
+    assert compile_family([("S0", ""), (machine, 7), (machine, "")])[1] == [2]
+    # State names of unlike types order only within their own machine,
+    # so such a mix stays on the per-machine path, with exact results.
+    numbered = TuringMachine(
+        delta={(0, BLANK): (1, "1", "R")}, initial=0, accept_states=frozenset({1})
+    )
+    assert compile_family([(numbered, "")])[1] == [0]
+    assert compile_family([(numbered, ""), (machine, "")]) == (None, [])
+    mixed = [(numbered, ""), (machine, "")] * 10
+    assert EnsembleBackend(MACHINES, min_population=1).execute(mixed, fuel=FUEL) == (
+        reference(MACHINES, mixed)
+    )
 
 
 # -- shared-memory transport -------------------------------------------------
