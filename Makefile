@@ -4,7 +4,8 @@ test:
 
 # Tier-2: slower checks that are not part of the tier-1 gate.
 # bench-smoke runs the perf-regression, observability, fault-recovery,
-# durable-journal, and multi-node comm harnesses at tiny sizes — it
+# durable-journal, and multi-node comm harnesses at tiny sizes, plus a
+# short traced run of each gated perfbench workload — it
 # exercises the whole measure/assert/emit pipeline and rewrites
 # BENCH_perf_engine.json / BENCH_obs_overhead.json /
 # BENCH_fault_recovery.json / BENCH_journal.json / BENCH_comm.json /
@@ -13,8 +14,20 @@ test:
 # the PF2 warm-pool batch gate is enforced even here: the run fails
 # if the persistent warm-cache dispatcher stops beating the reference
 # interpreter by at least 2x the old 2.44x cold-dispatch baseline.
-bench-smoke: obs-smoke faults-smoke runtime-smoke ensemble-smoke journal-smoke comm-smoke sched-smoke
+bench-smoke: obs-smoke faults-smoke runtime-smoke ensemble-smoke journal-smoke comm-smoke sched-smoke perfbench-smoke
 	python benchmarks/bench_perf_engine.py --smoke
+
+# The repo benchmark's gated workloads, traced, for a few seconds each.
+# Traced runs patch or call private seams (_submit_entries, submit_chunk,
+# warm, lower_machine), so a refactor that renames one fails here
+# first.  Each run must end in a JSON line with "correct": true.
+PERFBENCH_WORKLOADS = sweep_large session_stream census
+perfbench-smoke:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seconds 3 --trace 1 | tail -n 1 \
+			| python3 -c 'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)' \
+			|| { echo "perfbench-smoke: $$w failed"; exit 1; }; \
+	done
 
 # Workload-generic runtime gate at tiny sizes: the TM path through
 # repro.runtime keeps the PF2 warm-batch win, and the complang adapter
@@ -115,4 +128,4 @@ bench-perf:
 bench:
 	PYTHONPATH=src python -m pytest benchmarks -q
 
-.PHONY: test bench bench-smoke bench-perf obs-smoke bench-obs obs-report faults-smoke bench-faults journal-smoke bench-journal comm-smoke bench-comm runtime-smoke bench-runtime ensemble-smoke bench-ensemble sched-smoke bench-sched
+.PHONY: test bench bench-smoke perfbench-smoke bench-perf obs-smoke bench-obs obs-report faults-smoke bench-faults journal-smoke bench-journal comm-smoke bench-comm runtime-smoke bench-runtime ensemble-smoke bench-ensemble sched-smoke bench-sched

@@ -1,10 +1,10 @@
 """``backend="dist"``: multi-node sharded execution for the runtime.
 
-The coordinator side of the comm wire protocol.  A
-:class:`DistBackend` mirrors :class:`repro.runtime.core.ProcessBackend`'s
-master state — interned program ids, warm result memo, EWMA cost model
-— but instead of one process pool it drives ``nodes`` node workers
-through a :class:`repro.comm.Communicator`:
+The transport side of the comm wire protocol.  :class:`DistBackend` is
+the :class:`~repro.runtime.core.Coordinator` that ``process`` is —
+same registry, memo, cost model and dispatch loop — whose lanes are
+``nodes`` node workers behind a :class:`repro.comm.Communicator`; this
+module only moves chunks:
 
 * **Sharding.**  Every program's *content key* hashes to a home node
   (``sha1(key) mod nodes``); shard messages seed each node with
@@ -18,11 +18,12 @@ through a :class:`repro.comm.Communicator`:
   sweep is byte-identical to :class:`~repro.runtime.core.SerialBackend`.
 * **Failure.**  A lost node surfaces as
   :class:`~repro.faults.chaos.WorkerCrash` (the supervisor's existing
-  crash vocabulary): its in-flight chunks are requeued, the node is
-  restarted under a bumped generation and re-sharded, and the sweep
-  continues — a chaos-killed-node run equals a clean run exactly.
-  Past ``max_node_restarts`` the remainder degrades to local serial
-  execution, mirroring the supervisor's own last resort.
+  crash vocabulary): the coordinator requeues its in-flight chunks,
+  the node is restarted here under a bumped generation and
+  re-sharded, and the sweep continues — a chaos-killed-node run equals
+  a clean run exactly.  Past ``max_node_restarts`` the coordinator
+  runs the remainder locally, mirroring the supervisor's own last
+  resort.
 * **Telemetry.**  Chunk payloads carry the current
   :class:`~repro.obs.telemetry.TraceContext`; node-side deltas ride
   home inside the stats dict and are absorbed with PR 7's
@@ -41,18 +42,17 @@ import itertools
 import os
 import pickle
 import threading
-import time
-from collections import Counter, OrderedDict, deque
+from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import Future
 from typing import Any
 
 from repro.comm import Communicator, NodeLost, create_communicator
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import current_context
-from repro.runtime import core as _core
-from repro.runtime.lifecycle import ChunkSettler, enter_close, mark_open
-from repro.runtime.workload import Job, Workload
+from repro.runtime.core import Coordinator
+from repro.runtime.lifecycle import close_when_collected, enter_close, mark_open
+from repro.runtime.workload import Workload
 
 __all__ = ["DistBackend"]
 
@@ -65,14 +65,16 @@ def _crash() -> type[Exception]:
     return WorkerCrash
 
 
-class DistBackend:
+class DistBackend(Coordinator):
     """Sharded execution across node workers behind one communicator.
 
-    ``topology`` defaults to ``"hierarchical"`` when each node gets
-    more than one worker, else ``"naive"``; tests pass
-    ``"single_node"`` for in-process loopback nodes.  The communicator
-    (and its node subprocesses) is created lazily on first use and
-    survives across ``execute`` calls — warm node pools, warm shards.
+    One lane per node, each with a ``max(2, 2·workers_per_node)``
+    in-flight window to pipeline over the wire.  ``topology`` defaults
+    to ``"hierarchical"`` when each node gets more than one worker,
+    else ``"naive"``; tests pass ``"single_node"`` for in-process
+    loopback nodes.  The communicator (and its node subprocesses) is
+    created lazily on first use and survives across ``execute`` calls —
+    warm node pools, warm shards.
     """
 
     name = "dist"
@@ -86,57 +88,46 @@ class DistBackend:
         topology: str | None = None,
         chunksize: int | None = None,
         memo_size: int = 4096,
-        table_size: int = 4096,
         max_node_restarts: int = 4,
         chaos: Any = None,
         connect_timeout: float = 30.0,
     ) -> None:
         if nodes < 1:
             raise ValueError("need at least one node")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1 (or None for adaptive dispatch)")
-        if memo_size < 0:
-            raise ValueError("memo_size must be >= 0")
-        if table_size < 1:
-            raise ValueError("table_size must be >= 1")
-        self.workload = workload
-        self.nodes = nodes
         cpu = os.cpu_count() or 1
         self.workers_per_node = (
             workers_per_node if workers_per_node is not None else max(1, cpu // nodes)
         )
+        lane_workers = max(1, self.workers_per_node)
+        super().__init__(
+            workload,
+            lanes=nodes,
+            window=max(2, 2 * lane_workers),
+            lane_workers=lane_workers,
+            chunksize=chunksize,
+            memo_size=memo_size,
+        )
+        self.nodes = nodes
         if topology is None:
             topology = "hierarchical" if self.workers_per_node > 1 else "naive"
         self.topology = topology
-        self.chunksize = chunksize
-        self.memo_size = memo_size
-        self.table_size = table_size
         self.max_node_restarts = max_node_restarts
         self.chaos = chaos
         self.connect_timeout = connect_timeout
         #: Total worker estimate — the supervisor sizes chunks off this.
-        self.workers = nodes * max(1, self.workers_per_node)
-        self.last_cache_stats: dict[str, int] = dict(_core._ZERO_STATS)
-        self.last_dispatch: dict[str, Any] = {}
+        self.workers = nodes * lane_workers
+        self._lost = (_crash(),)
+        self._labels = {"nodes": nodes}
         self.comm: Communicator | None = None
         self._owner_pid = os.getpid()
         self._receiver: threading.Thread | None = None
         self._stop = threading.Event()
-        # Master-side intern state (mirrors ProcessBackend).
-        self._key_ids: dict[Any, int] = {}
-        self._next_id = 0
-        self._known: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
-        self._memo: OrderedDict[tuple, Any] = OrderedDict()
-        self._cost: dict[int, float] = {}
-        self._home_cache: dict[int, int] = {}
         # Per-node shard state.
         self._generation = [0] * nodes
-        self._seeded: list[set[int]] = [set() for _ in range(nodes)]
         self._dead: set[int] = set()
         # Receiver-settled routing state, all guarded by _lock.
         self._lock = threading.Lock()
-        self._inflight: dict[int, Future] = {}
-        self._chunk_nodes: dict[int, int] = {}
+        self._inflight: dict[int, tuple[int, Future]] = {}
         self._barriers: dict[tuple[int, int], Future] = {}
         self._next_chunk = itertools.count(1)
         # Counters the bench and the report read.
@@ -149,45 +140,59 @@ class DistBackend:
         #: Replies for a chunk that was already settled — a protocol
         #: violation; must stay 0 (the node-kill exactness gate).
         self.duplicate_results = 0
-        self.degraded_jobs = 0
 
     # -- sharding ------------------------------------------------------------
 
-    def _register(self, program: Any) -> int:
-        key = self.workload.program_key(program)
-        pid = self._key_ids.get(key)
-        if pid is None:
-            pid = self._next_id
-            self._next_id += 1
-            self._key_ids[key] = pid
-        self._known[pid] = (key, program)
-        self._known.move_to_end(pid)
-        if len(self._known) > self.table_size:
-            old_pid, (old_key, _) = self._known.popitem(last=False)
-            self._key_ids.pop(old_key, None)
-            self._cost.pop(old_pid, None)
-            self._home_cache.pop(old_pid, None)
-            for seeded in self._seeded:
-                seeded.discard(old_pid)
-        return pid
-
-    def _home(self, pid: int) -> int:
-        """The node whose resident-table slice owns this program.
+    def _place(self, key: Any) -> int:
+        """The home node of a program: its resident-table slice.
 
         Hashed from the program's *content key* (protocol-pinned
         pickle, like ``journal_key``), so the placement is stable
         across processes and runs — the sharding diagram in DESIGN.md.
         """
-        node = self._home_cache.get(pid)
-        if node is None:
-            key = self._known[pid][0]
-            digest = hashlib.sha1(pickle.dumps(key, protocol=4)).digest()
-            node = self._home_cache[pid] = int.from_bytes(digest[:8], "big") % self.nodes
-        return node
+        digest = hashlib.sha1(pickle.dumps(key, protocol=4)).digest()
+        return int.from_bytes(digest[:8], "big") % self.nodes
+
+    def _shard(self, nodes: Sequence[int]) -> None:
+        """Start a new generation on each node, seeded with its table
+        slice; barrier on all the acks."""
+        assert self.comm is not None
+        acks = []
+        for node in nodes:
+            self._generation[node] += 1
+            self._seeded[node] = set()
+            generation = self._generation[node]
+            seeds = [
+                (pid, program)
+                for pid, (_, program, home) in self._known.items()
+                if home == node
+            ]
+            barrier: Future = Future()
+            with self._lock:
+                self._barriers[(node, generation)] = barrier
+            message = ("shard", {"generation": generation, "seeds": seeds, "reset": True})
+            try:
+                self.comm.send(node, message)
+            except NodeLost as exc:
+                with self._lock:
+                    self._barriers.pop((node, generation), None)
+                raise _crash()(str(exc)) from exc
+            acks.append((node, {pid for pid, _ in seeds}, barrier))
+        for node, pids, barrier in acks:
+            barrier.result(timeout=self.connect_timeout)
+            self._seeded[node] = pids
+        if OBS.enabled and acks:
+            OBS.count("comm_shards_total", len(acks))
+
+    def _reseed(self, lanes: set[int]) -> None:
+        if self.comm is None:
+            self._open()
+        else:
+            self._shard(sorted(lanes))
 
     # -- communicator lifecycle ----------------------------------------------
 
-    def _ensure_comm(self) -> Communicator:
+    def _open(self) -> None:
         if self.comm is not None and os.getpid() != self._owner_pid:
             # Forked copy: the sockets and node processes belong to the
             # parent.  Drop the references, never close them from here.
@@ -202,81 +207,40 @@ class DistBackend:
                 connect_timeout=self.connect_timeout,
             )
             self._owner_pid = os.getpid()
-            self._generation = [g + 1 for g in self._generation]
-            self._seeded = [set() for _ in range(self.nodes)]
             with self._lock:
                 self._dead = set()
             self._receiver = threading.Thread(
                 target=self._receive_loop, daemon=True, name="dist-recv"
             )
             self._receiver.start()
-            self._shard_all()
+            self._shard(range(self.nodes))
             mark_open(self)
-        return self.comm
 
-    def _shard_message(self, node: int) -> tuple[Any, list[int], Future]:
-        generation = self._generation[node]
-        seeds = [
-            (pid, program)
-            for pid, (_, program) in self._known.items()
-            if self._home(pid) == node
-        ]
-        barrier: Future = Future()
-        with self._lock:
-            self._barriers[(node, generation)] = barrier
-        message = ("shard", {"generation": generation, "seeds": seeds, "reset": True})
-        return message, [pid for pid, _ in seeds], barrier
-
-    def _shard_all(self) -> None:
-        """Scatter every node's table slice; barrier on all the acks."""
-        assert self.comm is not None
-        plans = [self._shard_message(node) for node in range(self.nodes)]
-        self.comm.scatter([message for message, _, _ in plans])
-        for node, (_, pids, barrier) in enumerate(plans):
-            barrier.result(timeout=self.connect_timeout)
-            self._seeded[node] = set(pids)
-        if OBS.enabled:
-            OBS.count("comm_shards_total", self.nodes)
-
-    def _shard_node(self, node: int) -> None:
-        assert self.comm is not None
-        message, pids, barrier = self._shard_message(node)
-        try:
-            self.comm.send(node, message)
-        except NodeLost as exc:
-            with self._lock:
-                self._barriers.pop((node, self._generation[node]), None)
-            raise _crash()(str(exc)) from exc
-        barrier.result(timeout=self.connect_timeout)
-        self._seeded[node] = set(pids)
-        if OBS.enabled:
-            OBS.count("comm_shards_total")
-
-    def _restart_node(self, node: int) -> None:
+    def _restart_lane(self, node: int) -> None:
         """A dead node is a restarted generation: fresh process, bumped
         generation, its table slice re-sharded before any chunk flows."""
         assert self.comm is not None
         self.comm.restart_node(node)
         self.node_restarts += 1
-        self._generation[node] += 1
-        self._seeded[node] = set()
         with self._lock:
             self._dead.discard(node)
         try:
-            self._shard_node(node)
+            self._shard([node])
         except BaseException:
             with self._lock:
                 self._dead.add(node)
             raise
 
+    def _dead_lanes(self) -> set[int]:
+        with self._lock:
+            return set(self._dead)
+
     def recover(self) -> None:
         """Restart every dead node (the supervisor's recovery hook)."""
         if self.comm is None:
             return
-        with self._lock:
-            dead = sorted(self._dead)
-        for node in dead:
-            self._restart_node(node)
+        for node in sorted(self._dead_lanes()):
+            self._restart_lane(node)
 
     def close(self) -> None:
         if not enter_close(self):
@@ -289,20 +253,15 @@ class DistBackend:
         if receiver is not None and receiver is not threading.current_thread():
             receiver.join(timeout=2.0)
         with self._lock:
-            leftovers = list(self._inflight.values()) + list(self._barriers.values())
+            leftovers = [future for _, future in self._inflight.values()]
+            leftovers += self._barriers.values()
             self._inflight.clear()
-            self._chunk_nodes.clear()
             self._barriers.clear()
         for future in leftovers:
             if not future.done():
                 future.set_exception(_crash()("dist backend closed"))
 
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        try:
-            if os.getpid() == self._owner_pid:
-                self.close()
-        except Exception:
-            pass
+    __del__ = close_when_collected
 
     # -- receiver ------------------------------------------------------------
 
@@ -338,8 +297,7 @@ class DistBackend:
 
     def _settle(self, node: int, body: dict) -> None:
         with self._lock:
-            future = self._inflight.pop(body.get("chunk_id"), None)
-            self._chunk_nodes.pop(body.get("chunk_id"), None)
+            _, future = self._inflight.pop(body.get("chunk_id"), (None, None))
         if future is None:
             self.stale_results += 1
             return
@@ -358,30 +316,21 @@ class DistBackend:
     def _on_node_lost(self, node: int) -> None:
         with self._lock:
             self._dead.add(node)
-            victims = [
-                (cid, future)
-                for cid, future in self._inflight.items()
-                if self._chunk_nodes.get(cid) == node
-            ]
-            for cid, _ in victims:
-                self._inflight.pop(cid, None)
-                self._chunk_nodes.pop(cid, None)
-            barriers = [
-                future for key, future in list(self._barriers.items()) if key[0] == node
-            ]
-            for key in [k for k in self._barriers if k[0] == node]:
-                self._barriers.pop(key, None)
+            lost = [cid for cid, (owner, _) in self._inflight.items() if owner == node]
+            victims = [self._inflight.pop(cid)[1] for cid in lost]
+            shards = [key for key in self._barriers if key[0] == node]
+            barriers = [self._barriers.pop(key) for key in shards]
         crash = _crash()
-        for _, future in victims:
+        for future in victims:
             if not future.done():
                 future.set_exception(crash(f"comm node {node} lost mid-chunk"))
         for future in barriers:
             if not future.done():
                 future.set_exception(crash(f"comm node {node} lost during shard"))
 
-    # -- chunk dispatch ------------------------------------------------------
+    # -- chunk transport -----------------------------------------------------
 
-    def _send_chunk(
+    def _submit_entries(
         self,
         node: int,
         entries: Sequence[tuple[int, Any]],
@@ -391,23 +340,21 @@ class DistBackend:
     ) -> tuple[Future, int]:
         """Route one interned chunk to ``node``; ``(future, bytes)``.
 
-        Programs the node's shard was not seeded with ride along in
-        ``shipped`` — at most once per chunk, exactly like the process
-        pool's payloads.  A send failure converts to ``WorkerCrash``
-        so both the supervisor and the local dispatch loop treat it as
-        the node crash it is.
+        A ``chaos`` schedule draws one fault slot per chunk sent; a
+        ``"node_kill"`` kills the node first.  A send failure is a node
+        loss — every chunk in flight to it fails, this one included —
+        and raises ``WorkerCrash``, the crash the supervisor and the
+        coordinator's dispatch loop both handle.
         """
         assert self.comm is not None
-        shipped: dict[int, Any] = {}
-        seeded = self._seeded[node]
-        for pid, _ in entries:
-            if pid not in seeded and pid not in shipped:
-                shipped[pid] = self._known[pid][1]
+        if self.chaos is not None and self.chaos.next_fault() == "node_kill":
+            self.kill_node(node)
+        shipped = self._shipped(node, entries)
         chunk_id = next(self._next_chunk)
         future: Future = Future()
+        future.set_running_or_notify_cancel()  # on the wire: not cancellable
         with self._lock:
-            self._inflight[chunk_id] = future
-            self._chunk_nodes[chunk_id] = node
+            self._inflight[chunk_id] = (node, future)
         body = {
             "chunk_id": chunk_id,
             "workload": self.workload,
@@ -421,9 +368,6 @@ class DistBackend:
         try:
             nbytes = self.comm.send(node, ("chunk", body))
         except NodeLost as exc:
-            with self._lock:
-                self._inflight.pop(chunk_id, None)
-                self._chunk_nodes.pop(chunk_id, None)
             self._on_node_lost(node)
             raise _crash()(str(exc)) from exc
         self.node_chunks[node] += 1
@@ -436,315 +380,47 @@ class DistBackend:
         death is asynchronous — the loss surfaces through the reader as
         the chunk failures and restart a real SIGKILL would cause.
         """
-        self._ensure_comm()
+        self._open()
         assert self.comm is not None
-        with self._lock:
-            alive = [n for n in range(self.nodes) if n not in self._dead]
+        dead = self._dead_lanes()
+        alive = [n for n in range(self.nodes) if n not in dead]
         if not alive:
             return None
         victim = node if node in alive else alive[0]
         return victim if self.comm.kill_node(victim) else None
 
-    def submit_chunk(self, chunk: Sequence[Job], *, fuel: int, compiled: bool) -> Future:
-        """One chunk to its home node — the supervision surface.
+    # -- per-execute telemetry -----------------------------------------------
 
-        The chunk routes to the home node of its first program (a
-        supervisor's chunks are arbitrary slices; sharding them
-        per-entry would explode them).  If that node is dead the chunk
-        falls over to a live node — ``shipped`` carries whatever that
-        node's shard lacks — so supervised retries make progress even
-        before ``recover()`` restarts the dead one.
-        """
-        entries = [(self._register(program), input) for program, input in chunk]
-        self._ensure_comm()
-        target = self._home(entries[0][0]) if entries else 0
-        with self._lock:
-            dead = set(self._dead)
-        if target in dead:
-            alive = [n for n in range(self.nodes) if n not in dead]
-            if not alive:
-                raise _crash()("all comm nodes lost")
-            target = alive[target % len(alive)]
-        future, _ = self._send_chunk(target, entries, fuel=fuel, compiled=compiled)
-        return future
+    def _wire_bytes(self) -> tuple[int, int]:
+        comm = self.comm
+        return (comm.bytes_sent, comm.bytes_recv) if comm is not None else (0, 0)
 
-    # -- cost model ----------------------------------------------------------
-
-    def _estimate(self, pid: int) -> float:
-        est = self._cost.get(pid)
-        if est is not None:
-            return max(est, 1.0)
-        if self._cost:
-            return max(sum(self._cost.values()) / len(self._cost), 1.0)
-        return 1.0
-
-    def _observe_cost(self, pid: int, cost: float) -> None:
-        self._cost[pid] = 0.5 * self._cost.get(pid, float(cost)) + 0.5 * cost
-
-    # -- warm lifecycle ------------------------------------------------------
-
-    def warm(self, *, jobs: Sequence[Job] = (), programs: Sequence[Any] = ()) -> "DistBackend":
-        """Register programs and seed every node's shard with its slice."""
-        fresh: set[int] = set()
-        for program in list(programs) + [program for program, _ in jobs]:
-            pid = self._register(program)
-            node = self._home(pid)
-            if self.comm is not None and pid not in self._seeded[node]:
-                fresh.add(node)
-        if self.comm is None:
-            self._ensure_comm()
-        else:
-            for node in sorted(fresh):
-                self._generation[node] += 1
-                self._shard_node(node)
-        return self
-
-    def invalidate(self) -> None:
-        """Drop every warm table: nodes, program registry, memo, costs."""
-        self.close()
-        self._key_ids.clear()
-        self._known.clear()
-        self._memo.clear()
-        self._cost.clear()
-        self._home_cache.clear()
-
-    # -- execution -----------------------------------------------------------
-
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        *,
-        fuel: int,
-        compiled: bool,
-        cache: _core.ResidentCache | None = None,
-    ) -> list[Any]:
-        self.last_cache_stats = dict(_core._ZERO_STATS)
-        self.last_dispatch = {}
-        if not jobs:
-            return []
-        unique, slots, _ = _core.intern_jobs(self.workload, jobs)
-        pids = [self._register(program) for program, _ in unique]
-
-        unique_results: list[Any] = [None] * len(unique)
-        pending: list[int] = []
-        for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
-            memoed = self._memo.get((pid, input, fuel, compiled))
-            if memoed is not None:
-                self._memo.move_to_end((pid, input, fuel, compiled))
-                unique_results[u] = memoed
-            else:
-                pending.append(u)
-
-        settler = ChunkSettler(self.name)
-        aggregate = settler.aggregate
-        chunks = payload_bytes = 0
-        restarts_before = self.node_restarts
-        degraded_before = self.degraded_jobs
-        chunk_counts_before = Counter(self.node_chunks)
-        bytes_before = (
-            (self.comm.bytes_sent, self.comm.bytes_recv) if self.comm is not None else (0, 0)
+    def _mark(self) -> tuple:
+        return (
+            self.node_restarts,
+            self.degraded_jobs,
+            Counter(self.node_chunks),
+            self._wire_bytes(),
         )
-        try:
-            if pending:
-                self._ensure_comm()
-                with OBS.span(
-                    "batch.pool",
-                    backend=self.name,
-                    jobs=len(jobs),
-                    pending=len(pending),
-                    nodes=self.nodes,
-                ):
-                    chunks, payload_bytes = self._dispatch(
-                        pending, unique, pids, unique_results, settler, fuel, compiled
-                    )
-        finally:
-            executed = set(pending)
-            dup_of_executed = sum(1 for s in slots if s in executed) - len(executed)
-            warm_hits = sum(1 for s in slots if s not in executed)
-            self.last_cache_stats = {
-                "hits": aggregate["hits"] + (dup_of_executed if compiled else 0),
-                "misses": aggregate["misses"],
-                "size": aggregate["size"],
-            }
-            self.last_dispatch = {
-                "jobs": len(jobs),
-                "unique_jobs": len(unique),
-                "deduped": len(jobs) - len(unique),
-                "chunks": chunks,
-                "steals": 0,
-                "payload_bytes": payload_bytes,
-                "warm_hits": warm_hits,
-                "memo_hits": warm_hits,
-                "ensemble_jobs": 0,
-                "nodes": self.nodes,
-                "node_restarts": self.node_restarts - restarts_before,
-                "degraded_jobs": self.degraded_jobs - degraded_before,
-            }
-        out = [unique_results[s] for s in slots]
-        if any(r is None for r in out):  # pragma: no cover - defensive
-            raise RuntimeError("dispatch completed with unfilled result slots")
-        for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
-            if self.memo_size and unique_results[u] is not None:
-                self._memo[(pid, input, fuel, compiled)] = unique_results[u]
-        while len(self._memo) > self.memo_size:
-            self._memo.popitem(last=False)
-        if cache is not None:
-            cache.absorb(self.last_cache_stats)
-        if OBS.enabled:
-            sent_after, recv_after = (
-                (self.comm.bytes_sent, self.comm.bytes_recv)
-                if self.comm is not None
-                else bytes_before
-            )
-            with OBS.atomic():
-                for node, count in (Counter(self.node_chunks) - chunk_counts_before).items():
-                    OBS.count("comm_chunks_total", count, node=str(node))
-                if sent_after > bytes_before[0]:
-                    OBS.count("comm_bytes_sent_total", sent_after - bytes_before[0])
-                if recv_after > bytes_before[1]:
-                    OBS.count("comm_bytes_recv_total", recv_after - bytes_before[1])
-                restart_delta = self.node_restarts - restarts_before
-                if restart_delta:
-                    OBS.count("comm_node_restarts_total", restart_delta)
-            with self._lock:
-                alive = self.nodes - len(self._dead)
-            OBS.gauge("comm_nodes", alive)
-            _core._record_cache_metrics(
-                self.name, self.last_cache_stats["hits"], self.last_cache_stats["misses"]
-            )
-            if payload_bytes:
-                OBS.count("batch_payload_bytes", payload_bytes, backend=self.name)
-            if warm_hits:
-                OBS.count("batch_warm_hits", warm_hits, backend=self.name)
-        return out
 
-    def _dispatch(
-        self,
-        pending: list[int],
-        unique: Sequence[Job],
-        pids: Sequence[int],
-        unique_results: list[Any],
-        settler: ChunkSettler,
-        fuel: int,
-        compiled: bool,
-    ) -> tuple[int, int]:
-        """Drive the nodes over ``pending``; ``(chunks, payload_bytes)``.
+    def _since(self, mark: tuple) -> dict[str, Any]:
+        restarts, degraded, _, _ = mark
+        return {
+            "nodes": self.nodes,
+            "node_restarts": self.node_restarts - restarts,
+            "degraded_jobs": self.degraded_jobs - degraded,
+        }
 
-        Per-node straggler queues with adaptive pull spans (each pull
-        takes a ``1/(2·workers_per_node)`` share of that node's
-        remaining estimated cost), a bounded in-flight window per node
-        to pipeline over the wire, and crash-requeue + restart woven
-        into the same loop.
-        """
-        crash = _crash()
-        queues: dict[int, deque[int]] = {n: deque() for n in range(self.nodes)}
-        estimates = {u: self._estimate(pids[u]) for u in pending}
-        node_cost = {n: 0.0 for n in range(self.nodes)}
-        for u in pending:
-            node = self._home(pids[u])
-            queues[node].append(u)
-            node_cost[node] += estimates[u]
-        in_flight: dict[Future, tuple[int, list[int]]] = {}
-        node_inflight: Counter = Counter()
-        window = max(2, 2 * max(1, self.workers_per_node))
-        chunks = payload_bytes = 0
-        restarts = 0
-
-        def next_span(node: int) -> list[int] | None:
-            q = queues[node]
-            if not q:
-                return None
-            if self.chunksize is not None:
-                span = [q.popleft() for _ in range(min(self.chunksize, len(q)))]
-                if len(q) == 1:  # never ship a 1-job leftover chunk
-                    span.append(q.popleft())
-                return span
-            share = max(1.0, node_cost[node] / (2 * max(1, self.workers_per_node)))
-            span: list[int] = []
-            acc = 0.0
-            while q and (not span or acc < share):
-                u = q.popleft()
-                span.append(u)
-                acc += estimates[u]
-            node_cost[node] -= acc
-            return span
-
-        def requeue(node: int, span: list[int]) -> None:
-            for u in reversed(span):
-                queues[node].appendleft(u)
-            node_cost[node] += sum(estimates[u] for u in span)
-
-        def degrade_remainder() -> None:
-            """Past the restart budget: finish locally, like the
-            supervisor degrading to serial — results stay exact."""
-            leftovers = sorted(u for q in queues.values() for u in q)
-            for q in queues.values():
-                q.clear()
-            if not leftovers:
-                return
-            local = _core.ResidentCache(self.workload) if compiled else None
-            results = _core.run_job_loop(
-                self.workload, [unique[u] for u in leftovers], fuel, compiled, local
-            )
-            for u, result in zip(leftovers, results):
-                unique_results[u] = result
-                self._observe_cost(pids[u], self.workload.cost(result))
-            self.degraded_jobs += len(leftovers)
-            if local is not None:
-                settler.absorb_stats(local.stats())
-
-        while True:
-            with self._lock:
-                dead = set(self._dead)
-            dead_with_work = [n for n in sorted(dead) if queues[n]]
-            for node in dead_with_work:
-                if restarts >= self.max_node_restarts:
-                    degrade_remainder()
-                    break
-                restarts += 1
-                try:
-                    self._restart_node(node)
-                except (crash, TimeoutError, ConnectionError, OSError):
-                    continue  # still down; next pass retries or degrades
-                dead.discard(node)
-            for node in range(self.nodes):
-                if node in dead:
-                    continue
-                while node_inflight[node] < window:
-                    span = next_span(node)
-                    if span is None:
-                        break
-                    if self.chaos is not None:
-                        kind = self.chaos.next_fault()
-                        if kind == "node_kill":
-                            self.kill_node(node)
-                    entries = [(pids[u], unique[u][1]) for u in span]
-                    try:
-                        future, nbytes = self._send_chunk(
-                            node, entries, fuel=fuel, compiled=compiled
-                        )
-                    except crash:
-                        requeue(node, span)
-                        break  # node died at submit; outer loop restarts it
-                    chunks += 1
-                    payload_bytes += nbytes
-                    in_flight[future] = (node, span)
-                    node_inflight[node] += 1
-            if not in_flight:
-                if any(queues.values()):
-                    continue  # dead nodes still hold work; loop restarts them
-                break
-            done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-            for future in done:
-                node, span = in_flight.pop(future)
-                node_inflight[node] -= 1
-                try:
-                    payload = future.result()
-                except crash:
-                    requeue(node, span)  # node lost; restart happens at loop top
-                    continue
-                results = settler.settle(payload)
-                for u, result in zip(span, results):
-                    unique_results[u] = result
-                    self._observe_cost(pids[u], self.workload.cost(result))
-        return chunks, payload_bytes
+    def _record(self, mark: tuple) -> None:
+        restarts, _, chunks, (sent, recv) = mark
+        sent_after, recv_after = self._wire_bytes()
+        with OBS.atomic():
+            for node, count in (Counter(self.node_chunks) - chunks).items():
+                OBS.count("comm_chunks_total", count, node=str(node))
+            if sent_after > sent:
+                OBS.count("comm_bytes_sent_total", sent_after - sent)
+            if recv_after > recv:
+                OBS.count("comm_bytes_recv_total", recv_after - recv)
+            if self.node_restarts > restarts:
+                OBS.count("comm_node_restarts_total", self.node_restarts - restarts)
+        OBS.gauge("comm_nodes", self.nodes - len(self._dead_lanes()))

@@ -323,7 +323,6 @@ class ChaosBackend:
             "chunks": len(chunks),
             "steals": 0,
             "payload_bytes": 0,
-            "warm_hits": 0,
             "memo_hits": 0,
             "injected": sum(self.injected.values()) - injected_before,
         }

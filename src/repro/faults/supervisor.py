@@ -577,7 +577,6 @@ class SupervisedBackend:
                 "chunks": run.report.chunks,
                 "steals": 0,
                 "payload_bytes": 0,
-                "warm_hits": 0,
                 "memo_hits": 0,
                 "retries": run.report.retries,
                 "hedges": run.report.hedges,

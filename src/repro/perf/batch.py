@@ -160,11 +160,8 @@ class ProcessBackend(_core.ProcessBackend):
         chunksize: int | None = None,
         *,
         memo_size: int = 4096,
-        table_size: int = 4096,
     ) -> None:
-        super().__init__(
-            MACHINES, workers, chunksize, memo_size=memo_size, table_size=table_size
-        )
+        super().__init__(MACHINES, workers, chunksize, memo_size=memo_size)
 
     def warm(
         self,
@@ -243,7 +240,7 @@ def run_many(
                         backend=backend.name,
                     )
                 # Log-visible dispatch record: chunks, steals, payload
-                # bytes and warm hits land in the trace, so a dispatch
+                # bytes and memo hits land in the trace, so a dispatch
                 # regression is diagnosable from a single run's spans.
                 summary = getattr(backend, "last_dispatch", None)
                 if summary:

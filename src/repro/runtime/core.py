@@ -27,6 +27,11 @@ The mechanisms, workload-generically:
   a per-program EWMA cost model fed by ``workload.cost(result)`` and
   decay geometrically toward single jobs at the tail.
 
+All three live once, in :class:`Coordinator` (registry, result memo,
+cost model, ``execute`` and the dispatch loop); its transports only
+move chunks — :class:`ProcessBackend` over one local pool,
+:class:`repro.comm.dist.DistBackend` over a communicator's nodes.
+
 Metric and span names are kept identical to the batch layer's
 (``batch_chunk_seconds``, ``compile_cache_hits_total``, ``batch.pool``
 …) so dashboards and the obs test-suite see one unchanged namespace
@@ -36,22 +41,23 @@ series are emitted by :func:`run_jobs` on top.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from collections import OrderedDict, deque
 from collections.abc import Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Any, Protocol
 
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import current_context, run_captured
-from repro.runtime.lifecycle import ChunkSettler, enter_close, mark_open, plan_chunks
+from repro.runtime.lifecycle import ChunkSettler, PoolLifecycle, enter_close, plan_chunks
 from repro.runtime.workload import Job, Workload, get_workload
 
 __all__ = [
     "Backend",
     "BACKENDS",
+    "Coordinator",
+    "TABLE_SIZE",
     "WRAPPER_BACKENDS",
     "ProcessBackend",
     "ProgramNotResident",
@@ -333,7 +339,7 @@ class Backend(Protocol):
     ``last_cache_stats`` holds the resident-cache hit/miss/size tallies
     of the most recent ``execute``; ``last_dispatch`` summarises how
     that call was dispatched (jobs, unique jobs, chunks, steals,
-    payload bytes, warm hits).
+    payload bytes, memo hits).
 
     Beyond ``execute``, the built-in backends expose a chunk-level API
     (``submit_chunk``/``recover``/``close``) returning
@@ -434,7 +440,6 @@ class SerialBackend:
             "chunks": 1 if jobs else 0,
             "steals": 0,
             "payload_bytes": 0,
-            "warm_hits": 0,
             "memo_hits": 0,  # no cross-call result memo in-process
             "ensemble_jobs": 0,
         }
@@ -447,228 +452,186 @@ class SerialBackend:
         return results
 
 
-class ProcessBackend:
-    """Chunked execution on a persistent ``concurrent.futures`` pool.
+#: Program ids a coordinator keeps registered between batches.  A
+#: batch may use more; the registry is trimmed back once it settles.
+TABLE_SIZE = 4096
 
-    The pool — and every worker's resident program table — survives
-    across ``execute()`` calls.  Lifecycle:
 
-    * ``warm(jobs=..., programs=...)`` registers programs and (re)builds
-      the pool with them seeded, so workers never see those programs
-      in a chunk payload at all;
-    * ``execute`` registers any new programs as it meets them (seeding
-      them if the pool is not built yet, shipping them at most once per
-      chunk otherwise) and keeps a bounded memo of results, so a warm
-      backend answers repeated jobs without touching the pool;
-    * ``recover()`` discards a (possibly broken) pool; the next submit
-      builds a fresh one, re-seeded, under a new generation;
-    * ``invalidate()`` additionally drops the program registry, the
-      result memo and the cost model;
-    * ``close()`` releases the pool but keeps the warm master state, so
-      reopening re-seeds automatically.
+class Coordinator:
+    """The master side of interned, chunked execution, written once.
 
-    ``chunksize=None`` enables adaptive dispatch: chunk sizes follow a
-    per-program cost model and decay toward single jobs at the tail
-    (see the module docstring).  An explicit ``chunksize`` keeps the
-    static split of :meth:`_chunks`.
+    Subclasses are transports: they move chunks of ``(program_id,
+    input)`` entries to a lane and back, and never change what the
+    caller sees.  A transport sets ``lanes``, ``window`` (chunks in
+    flight per lane) and ``lane_workers`` (the adaptive split's
+    divisor) and implements ``_open``, ``_submit_entries``,
+    ``_reseed``, ``recover`` and ``close``; with several lanes it homes
+    programs through ``_place``.  One whose lanes can be lost also sets
+    ``_lost`` and ``max_node_restarts`` and implements ``_dead_lanes``
+    and ``_restart_lane``.
     """
 
-    name = "process"
+    #: Errors that mean "this lane is lost": requeue, never raise.  The
+    #: first is raised when every lane is lost.
+    _lost: tuple[type[BaseException], ...] = ()
+    #: Lost-lane restarts one batch may spend before it runs locally.
+    max_node_restarts = 0
+    #: Jobs run locally because their lane stayed lost.
+    degraded_jobs = 0
+    #: Extra ``batch.pool`` span attributes.
+    _labels: dict[str, Any] = {}
 
     def __init__(
         self,
         workload: Workload,
-        workers: int | None = None,
-        chunksize: int | None = None,
         *,
-        memo_size: int = 4096,
-        table_size: int = 4096,
+        lanes: int,
+        window: int,
+        lane_workers: int,
+        chunksize: int | None,
+        memo_size: int,
     ) -> None:
-        self.workload = workload
-        self.workers = workers or os.cpu_count() or 1
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
         if chunksize is not None and chunksize < 1:
             raise ValueError("chunksize must be >= 1 (or None for adaptive dispatch)")
         if memo_size < 0:
             raise ValueError("memo_size must be >= 0")
-        if table_size < 1:
-            raise ValueError("table_size must be >= 1")
+        self.workload = workload
+        self.lanes = lanes
+        self.window = window
+        self.lane_workers = lane_workers
         self.chunksize = chunksize
         self.memo_size = memo_size
-        self.table_size = table_size
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
-        self.last_dispatch: dict[str, int] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._owner_pid = os.getpid()
-        # Master-side intern state.  generation tags worker tables to a
-        # pool incarnation; _known maps program id -> (content key,
-        # program) for re-seeding; _seeded is the subset baked into the
-        # current pool's initializer (resident on *every* worker).
-        self.generation = 0
+        self.last_dispatch: dict[str, Any] = {}
+        # _known maps program id -> (content key, program, home lane),
+        # in least-recently-registered order; _seeded[lane] is the
+        # subset the lane's current incarnation holds resident.
         self._key_ids: dict[Any, int] = {}
         self._next_id = 0
-        self._known: OrderedDict[int, tuple[Any, Any]] = OrderedDict()
-        self._seeded: set[int] = set()
+        self._known: OrderedDict[int, tuple[Any, Any, int]] = OrderedDict()
+        self._seeded: list[set[int]] = [set() for _ in range(lanes)]
         self._memo: OrderedDict[tuple, Any] = OrderedDict()
         self._cost: dict[int, float] = {}
 
-    # -- warm lifecycle ------------------------------------------------------
-
-    def warm(
-        self,
-        *,
-        jobs: Sequence[Job] = (),
-        programs: Sequence[Any] = (),
-    ) -> "ProcessBackend":
-        """Register programs and build the pool with them seeded.
-
-        Under a forking start method the seeds transfer to workers by
-        memory inheritance — zero pickles; under spawn they are pickled
-        once per worker, in the initializer arguments.  Either way no
-        chunk payload ever carries a seeded program.
-        """
-        fresh = False
-        for program in list(programs) + [program for program, _ in jobs]:
-            pid = self._register(program)
-            fresh = fresh or pid not in self._seeded
-        if self._pool is not None and fresh:
-            self.close()  # rebuild below so the new programs are seeded
-        self._ensure_pool()
-        return self
-
-    def invalidate(self) -> None:
-        """Drop every warm table: pool, program registry, memo, costs."""
-        self.close()
-        self._key_ids.clear()
-        self._known.clear()
-        self._memo.clear()
-        self._cost.clear()
-
-    def recover(self) -> None:
-        """Discard the pool — broken or not — so the next submit starts
-        a fresh one under a new generation, re-seeded from the program
-        registry.  This is the restart step after a worker crash
-        surfaces as :class:`~concurrent.futures.process.BrokenProcessPool`."""
-        pool, self._pool = self._pool, None
-        self._seeded = set()
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        if not enter_close(self):
-            return
-        pool, self._pool = self._pool, None
-        self._seeded = set()
-        if pool is not None:
-            pool.shutdown()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        try:
-            if os.getpid() == self._owner_pid:
-                self.close()
-        except Exception:
-            pass
-
-    # -- intern bookkeeping --------------------------------------------------
+    # -- program registry ----------------------------------------------------
 
     def _register(self, program: Any) -> int:
         """Intern a program; returns its compact program id."""
         key = self.workload.program_key(program)
         pid = self._key_ids.get(key)
         if pid is None:
-            pid = self._next_id
+            pid = self._key_ids[key] = self._next_id
             self._next_id += 1
-            self._key_ids[key] = pid
-        self._known[pid] = (key, program)
+            home = self._place(key)
+        else:
+            home = self._known[pid][2]
+        self._known[pid] = (key, program, home)
         self._known.move_to_end(pid)
-        if len(self._known) > self.table_size:
-            old_pid, (old_key, _) = self._known.popitem(last=False)
-            self._key_ids.pop(old_key, None)
-            self._seeded.discard(old_pid)
-            self._cost.pop(old_pid, None)
         return pid
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None and os.getpid() != self._owner_pid:
-            # Fork-unsafe state: this object was copied into a child
-            # process.  The pool's queues and worker processes belong
-            # to the parent — drop the reference (never shut the
-            # parent's workers down from here) and rebuild.
-            self._pool = None
-            self._seeded = set()
-        if self._pool is None:
-            self.generation += 1
-            seeds = [(pid, program) for pid, (_, program) in self._known.items()]
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_worker_warm,
-                initargs=(self.generation, seeds),
-            )
-            self._seeded = {pid for pid, _ in seeds}
-            self._owner_pid = os.getpid()
-            mark_open(self)
-        return self._pool
+    def _trim(self) -> None:
+        """Forget the least recently registered programs beyond
+        :data:`TABLE_SIZE`.  Called only once nothing in flight on
+        this side still resolves their ids."""
+        while len(self._known) > TABLE_SIZE:
+            pid, (key, _, _) = self._known.popitem(last=False)
+            del self._key_ids[key]
+            self._cost.pop(pid, None)
+            for seeded in self._seeded:
+                seeded.discard(pid)
+
+    def _place(self, key: Any) -> int:
+        """The home lane of a newly registered program."""
+        return 0
+
+    def _home(self, pid: int) -> int:
+        """The lane that owns this program's resident state."""
+        return self._known[pid][2]
+
+    def _shipped(self, lane: int, entries: Sequence[tuple[int, Any]]) -> dict[int, Any]:
+        """Sources for the entries' programs the lane does not hold
+        resident — at most once per chunk, however many entries
+        reference each."""
+        seeded = self._seeded[lane]
+        shipped: dict[int, Any] = {}
+        for pid, _ in entries:
+            if pid not in seeded and pid not in shipped:
+                shipped[pid] = self._known[pid][1]
+        return shipped
+
+    # -- warm lifecycle ------------------------------------------------------
+
+    def warm(self, *, jobs: Sequence[Job] = (), programs: Sequence[Any] = ()) -> "Coordinator":
+        """Register programs and seed every lane with its share.
+
+        Seeded programs never ride in a chunk payload.  Only lanes
+        that gained a program are re-seeded; warming twice with the
+        same programs is a no-op.
+        """
+        stale: set[int] = set()
+        for program in [*programs, *(program for program, _ in jobs)]:
+            pid = self._register(program)
+            home = self._home(pid)
+            if pid not in self._seeded[home]:
+                stale.add(home)
+        self._trim()
+        self._reseed(stale)
+        return self
+
+    def invalidate(self) -> None:
+        """Drop every warm table: transport, program registry, memo, costs."""
+        self.close()
+        self._key_ids.clear()
+        self._known.clear()
+        self._memo.clear()
+        self._cost.clear()
+
+    # -- transport hooks -----------------------------------------------------
+
+    def _dead_lanes(self) -> set[int]:
+        """Lanes currently lost; never any for a transport with no ``_lost``."""
+        return set()
+
+    def _mark(self) -> Any:
+        """Transport counters at the start of an ``execute``."""
+        return None
+
+    def _since(self, mark: Any) -> dict[str, Any]:
+        """Transport fields for ``last_dispatch``, relative to ``mark``."""
+        return {}
+
+    def _record(self, mark: Any) -> None:
+        """Transport metrics for one ``execute``, relative to ``mark``."""
 
     # -- chunk-level API (the supervision surface) ---------------------------
 
-    def _submit_entries(
-        self,
-        pool: ProcessPoolExecutor,
-        entries: Sequence[tuple[int, Any]],
-        *,
-        fuel: int,
-        compiled: bool,
-    ) -> tuple[Future, int]:
-        """Submit interned entries; returns ``(future, payload_bytes)``.
-
-        Ships the program source for any id the current pool was not
-        seeded with — at most once per chunk, however many entries
-        reference it.
-        """
-        shipped: dict[int, Any] = {}
-        for pid, _ in entries:
-            if pid not in self._seeded and pid not in shipped:
-                shipped[pid] = self._known[pid][1]
-        ctx = current_context()
-        payload = (self.workload, self.generation, tuple(entries), shipped, fuel, compiled)
-        if ctx is not None:
-            payload = (*payload, ctx)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return pool.submit(_run_workload_chunk, blob), len(blob)
-
-    def submit_chunk(
-        self, chunk: Sequence[Job], *, fuel: int, compiled: bool
-    ) -> Future:
-        """Submit one chunk to the pool; the supervision hook.
+    def submit_chunk(self, chunk: Sequence[Job], *, fuel: int, compiled: bool) -> Future:
+        """Submit one chunk to its first program's home lane.
 
         The chunk is interned on the way in (compact ids, resident
-        tables), so a supervisor composes with warm pools for free:
+        tables), so a supervisor composes with warm lanes for free:
         hedged duplicates re-ship nothing, and after ``recover()`` the
-        next submit re-seeds under a fresh generation.  Callers driving
-        this directly own the pool lifetime: call :meth:`close` (or
-        let ``run_jobs`` close backends it created by name).
+        next submit re-seeds under a fresh generation.  A chunk whose
+        home lane is lost falls over to a live lane — ``shipped``
+        carries whatever that lane lacks — so supervised retries make
+        progress before ``recover()`` restarts it.  Callers driving
+        this directly own the transport's lifetime: call :meth:`close`
+        (or let ``run_jobs`` close backends it created by name).
         """
         entries = [(self._register(program), input) for program, input in chunk]
-        future, _ = self._submit_entries(
-            self._ensure_pool(), entries, fuel=fuel, compiled=compiled
-        )
+        self._open()
+        lane = self._home(entries[0][0]) if entries else 0
+        dead = self._dead_lanes()
+        if lane in dead:
+            alive = [n for n in range(self.lanes) if n not in dead]
+            if not alive:
+                raise self._lost[0]("all lanes lost")
+            lane = alive[lane % len(alive)]
+        future, _ = self._submit_entries(lane, entries, fuel=fuel, compiled=compiled)
+        self._trim()
         return future
 
-    # -- dispatch planning ---------------------------------------------------
-
-    def _chunks(self, jobs: Sequence) -> list[Sequence]:
-        """Static split via the shared planner, order-preserving.
-
-        ``chunksize=None`` targets roughly 4 chunks per worker and
-        never more; the trailing 1-job merge lives in
-        :func:`repro.runtime.lifecycle.plan_chunks` now, shared with
-        the supervisor and the session scheduler.
-        """
-        return [
-            list(plan.jobs)
-            for plan in plan_chunks(jobs, chunksize=self.chunksize, workers=self.workers)
-        ]
+    # -- cost model ----------------------------------------------------------
 
     def _estimate(self, pid: int) -> float:
         """Estimated relative cost of one job of program ``pid``."""
@@ -702,7 +665,7 @@ class ProcessBackend:
         pids = [self._register(program) for program, _ in unique]
 
         # Warm memo: a (program, input, fuel) triple this backend has
-        # already answered never goes back to the pool.
+        # already answered never goes back to the transport.
         unique_results: list[Any] = [None] * len(unique)
         pending: list[int] = []
         for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
@@ -716,30 +679,35 @@ class ProcessBackend:
         settler = ChunkSettler(self.name)
         aggregate = settler.aggregate
         chunks = steals = payload_bytes = 0
+        mark = self._mark()
         try:
             if pending:
                 with OBS.span(
-                    "batch.pool", backend=self.name, jobs=len(jobs), pending=len(pending)
+                    "batch.pool",
+                    backend=self.name,
+                    jobs=len(jobs),
+                    pending=len(pending),
+                    **self._labels,
                 ):
                     chunks, steals, payload_bytes = self._dispatch(
                         pending, unique, pids, unique_results, settler, fuel, compiled
                     )
         finally:
+            # The batch has settled, so no id it used is needed again.
+            self._trim()
             # Failure-safe: on an exception this reflects exactly the
             # chunks that completed, never the previous run.
             executed = set(pending)
             dup_of_executed = sum(1 for s in slots if s in executed) - len(executed)
-            warm_hits = sum(1 for s in slots if s not in executed)
+            memo_hits = sum(1 for s in slots if s not in executed)
             self.last_cache_stats = {
                 "hits": aggregate["hits"] + (dup_of_executed if compiled else 0),
                 "misses": aggregate["misses"],
                 "size": aggregate["size"],
             }
-            # warm_hits is kept as the historical alias; memo_hits is
-            # the explicit field that disambiguates "answered from the
-            # warm result memo" from "nothing ran" — a memo-served
-            # batch reports chunks=0, payload_bytes=0 *and* memo_hits=N
-            # rather than looking like an empty dispatch.
+            # A memo-served batch reports chunks=0, payload_bytes=0
+            # *and* memo_hits=N rather than looking like an empty
+            # dispatch.
             self.last_dispatch = {
                 "jobs": len(jobs),
                 "unique_jobs": len(unique),
@@ -747,9 +715,9 @@ class ProcessBackend:
                 "chunks": chunks,
                 "steals": steals,
                 "payload_bytes": payload_bytes,
-                "warm_hits": warm_hits,
-                "memo_hits": warm_hits,
+                "memo_hits": memo_hits,
                 "ensemble_jobs": 0,
+                **self._since(mark),
             }
         out = [unique_results[s] for s in slots]
         if any(r is None for r in out):  # pragma: no cover - defensive
@@ -770,8 +738,9 @@ class ProcessBackend:
                 OBS.count("batch_steal_total", steals, backend=self.name)
             if payload_bytes:
                 OBS.count("batch_payload_bytes", payload_bytes, backend=self.name)
-            if warm_hits:
-                OBS.count("batch_warm_hits", warm_hits, backend=self.name)
+            if memo_hits:
+                OBS.count("batch_warm_hits", memo_hits, backend=self.name)
+            self._record(mark)
         return out
 
     def _dispatch(
@@ -784,73 +753,223 @@ class ProcessBackend:
         fuel: int,
         compiled: bool,
     ) -> tuple[int, int, int]:
-        """Drive the pool over ``pending`` unique-job indices.
+        """Drive the lanes over ``pending``; ``(chunks, steals, payload_bytes)``.
 
-        Returns ``(chunks, steals, payload_bytes)``.  Chunk *contents*
-        are deterministic — each pull takes a ``1/(2·workers)`` share
-        of the remaining estimated cost off the front of the straggler
-        queue — only the chunk→worker assignment races.
+        Each lane pulls spans off the front of its straggler queue, at
+        most ``window`` in flight: a ``chunksize`` slice, or adaptively
+        a ``1/(2·lane_workers)`` share of the lane's remaining estimated
+        cost, so chunk *contents* are deterministic and decay toward
+        single jobs at the tail.  A steal is a pull beyond the first
+        wave.  A chunk failing with a ``_lost`` error is requeued; a
+        lost lane with work is restarted up to ``max_node_restarts``
+        times per batch, then the remainder runs here.
         """
-        pool = self._ensure_pool()
-        static = self.chunksize is not None
-        if static:
-            spans = deque(self._chunks(pending))
-            remainder: deque[int] = deque()
-            remaining_cost = 0.0
-            estimates: dict[int, float] = {}
-        else:
-            spans = deque()
-            remainder = deque(pending)
-            estimates = {u: self._estimate(pids[u]) for u in pending}
-            remaining_cost = sum(estimates.values())
+        if self.chunksize is not None and self.chunksize < 1:
+            raise ValueError("chunksize must be >= 1 (or None for adaptive dispatch)")
+        self._open()
+        queues: list[deque[int]] = [deque() for _ in range(self.lanes)]
+        lane_cost = [0.0] * self.lanes
+        estimates = {u: self._estimate(pids[u]) for u in pending}
+        for u in pending:
+            lane = self._home(pids[u])
+            queues[lane].append(u)
+            lane_cost[lane] += estimates[u]
 
-        def next_span() -> list[int] | None:
-            nonlocal remaining_cost
-            if static:
-                return list(spans.popleft()) if spans else None
-            if not remainder:
+        def next_span(lane: int) -> list[int] | None:
+            q = queues[lane]
+            if not q:
                 return None
-            share = max(1.0, remaining_cost / (2 * self.workers))
-            span: list[int] = []
+            if self.chunksize is not None:
+                span = [q.popleft() for _ in range(min(self.chunksize, len(q)))]
+                if len(q) == 1:  # never ship a 1-job leftover chunk
+                    span.append(q.popleft())
+                return span
+            share = max(1.0, lane_cost[lane] / (2 * self.lane_workers))
+            span = []
             acc = 0.0
-            while remainder and (not span or acc < share):
-                u = remainder.popleft()
+            while q and (not span or acc < share):
+                u = q.popleft()
                 span.append(u)
                 acc += estimates[u]
-            remaining_cost -= acc
+            lane_cost[lane] -= acc
             return span
 
-        chunks = steals = payload_bytes = 0
-        in_flight: dict[Future, list[int]] = {}
+        def requeue(lane: int, span: list[int]) -> None:
+            queues[lane].extendleft(reversed(span))
+            lane_cost[lane] += sum(estimates[u] for u in span)
+
+        def scatter(span: list[int], results: Sequence[Any]) -> None:
+            for u, result in zip(span, results):
+                unique_results[u] = result
+                self._observe_cost(pids[u], self.workload.cost(result))
+
+        def run_remainder_locally() -> None:
+            """Past the restart budget: finish here, like the supervisor
+            degrading to serial — results stay exact."""
+            leftovers = sorted(u for q in queues for u in q)
+            for q in queues:
+                q.clear()
+            chunk = [unique[u] for u in leftovers]
+            results, stats, _ = _run_chunk((self.workload, chunk, fuel, compiled))
+            scatter(leftovers, results)
+            settler.absorb_stats(stats)
+            self.degraded_jobs += len(leftovers)
+
+        chunks = steals = payload_bytes = restarts = 0
+        in_flight: dict[Future, tuple[int, list[int]]] = {}
+        busy = [0] * self.lanes
         try:
             while True:
-                while len(in_flight) < self.workers:
-                    span = next_span()
-                    if span is None:
+                dead = self._dead_lanes()
+                for lane in [n for n in sorted(dead) if queues[n]]:
+                    if restarts >= self.max_node_restarts:
+                        run_remainder_locally()
                         break
-                    entries = [(pids[u], unique[u][1]) for u in span]
-                    future, size = self._submit_entries(
-                        pool, entries, fuel=fuel, compiled=compiled
-                    )
-                    payload_bytes += size
-                    if chunks >= self.workers:
-                        steals += 1  # a pull beyond the initial wave
-                    chunks += 1
-                    in_flight[future] = span
+                    restarts += 1
+                    try:
+                        self._restart_lane(lane)
+                    except (*self._lost, TimeoutError, ConnectionError, OSError):
+                        continue  # still down; next pass retries or degrades
+                    dead.discard(lane)
+                for lane in range(self.lanes):
+                    if lane in dead:
+                        continue
+                    while busy[lane] < self.window:
+                        span = next_span(lane)
+                        if span is None:
+                            break
+                        entries = [(pids[u], unique[u][1]) for u in span]
+                        try:
+                            future, size = self._submit_entries(
+                                lane, entries, fuel=fuel, compiled=compiled
+                            )
+                        except self._lost:
+                            requeue(lane, span)
+                            break  # lost at submit; the next pass restarts it
+                        if chunks >= self.lanes * self.window:
+                            steals += 1  # a pull beyond the initial wave
+                        chunks += 1
+                        payload_bytes += size
+                        in_flight[future] = (lane, span)
+                        busy[lane] += 1
                 if not in_flight:
+                    if any(queues):
+                        continue  # lost lanes still hold work; restart them
                     break
                 done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
                 for future in done:
-                    span = in_flight.pop(future)
-                    results = settler.settle(future.result())
-                    for u, result in zip(span, results):
-                        unique_results[u] = result
-                        self._observe_cost(pids[u], self.workload.cost(result))
+                    lane, span = in_flight.pop(future)
+                    busy[lane] -= 1
+                    try:
+                        payload = future.result()
+                    except self._lost:
+                        requeue(lane, span)  # restarted at the loop top
+                        continue
+                    scatter(span, settler.settle(payload))
         except BaseException:
             for future in in_flight:
                 future.cancel()
             raise
         return chunks, steals, payload_bytes
+
+
+class ProcessBackend(PoolLifecycle, Coordinator):
+    """The coordinator over a persistent local ``concurrent.futures`` pool.
+
+    One lane, ``workers`` chunks in flight.  The pool — and every
+    worker's resident program table — survives across ``execute()``
+    calls.  Lifecycle:
+
+    * ``warm(jobs=..., programs=...)`` registers programs and (re)builds
+      the pool with them seeded, so workers never see those programs
+      in a chunk payload at all;
+    * ``execute`` registers any new programs as it meets them (seeding
+      them if the pool is not built yet, shipping them at most once per
+      chunk otherwise) and keeps a bounded memo of results, so a warm
+      backend answers repeated jobs without touching the pool;
+    * ``recover()`` discards a (possibly broken) pool; the next submit
+      builds a fresh one, re-seeded, under a new generation;
+    * ``invalidate()`` additionally drops the program registry, the
+      result memo and the cost model;
+    * ``close()`` releases the pool but keeps the warm master state, so
+      reopening re-seeds automatically.
+
+    A broken pool raises out of ``execute``; restarting it is the
+    supervisor's call.  ``chunksize=None`` enables adaptive dispatch
+    (see :meth:`Coordinator._dispatch`); an explicit ``chunksize``
+    keeps the static split of :meth:`_chunks`.
+    """
+
+    name = "process"
+
+    def __init__(
+        self,
+        workload: Workload,
+        workers: int | None = None,
+        chunksize: int | None = None,
+        *,
+        memo_size: int = 4096,
+    ) -> None:
+        PoolLifecycle.__init__(self, workers)
+        Coordinator.__init__(
+            self,
+            workload,
+            lanes=1,
+            window=self.workers,
+            lane_workers=self.workers,
+            chunksize=chunksize,
+            memo_size=memo_size,
+        )
+
+    # -- the local pool transport ---------------------------------------------
+
+    def _pool_initializer(self) -> tuple[Any, tuple]:
+        # Every registered program is seeded.  Under a forking start
+        # method the seeds transfer to workers by memory inheritance —
+        # zero pickles; under spawn they are pickled once per worker.
+        # A dropped pool's set lingers until the next build replaces
+        # it; no payload is built before that build.
+        seeds = [(pid, program) for pid, (_, program, _) in self._known.items()]
+        self._seeded = [{pid for pid, _ in seeds}]
+        return _worker_warm, (self.generation, seeds)
+
+    def _open(self) -> None:
+        self._ensure_pool()
+
+    def _reseed(self, lanes: set[int]) -> None:
+        if self._pool is not None and lanes:
+            self.close()  # rebuild below so the new programs are seeded
+        self._ensure_pool()
+
+    def _submit_entries(
+        self,
+        lane: int,
+        entries: Sequence[tuple[int, Any]],
+        *,
+        fuel: int,
+        compiled: bool,
+    ) -> tuple[Future, int]:
+        """Submit interned entries; returns ``(future, payload_bytes)``."""
+        shipped = self._shipped(lane, entries)
+        ctx = current_context()
+        payload = (self.workload, self.generation, tuple(entries), shipped, fuel, compiled)
+        if ctx is not None:
+            payload = (*payload, ctx)
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        return self._pool.submit(_run_workload_chunk, blob), len(blob)
+
+    def _chunks(self, jobs: Sequence) -> list[Sequence]:
+        """Static split via the shared planner, order-preserving.
+
+        ``chunksize=None`` targets roughly 4 chunks per worker and
+        never more; the trailing 1-job merge lives in
+        :func:`repro.runtime.lifecycle.plan_chunks` now, shared with
+        the supervisor and the session scheduler.
+        """
+        return [
+            list(plan.jobs)
+            for plan in plan_chunks(jobs, chunksize=self.chunksize, workers=self.workers)
+        ]
 
 
 def _supervised_backend(workload: Workload, **kwargs):

@@ -34,11 +34,10 @@ result lost.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from collections.abc import Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, wait
 from typing import Any, Protocol, runtime_checkable
 
 from repro.obs.instrument import OBS
@@ -57,7 +56,7 @@ from repro.runtime.core import (
     intern_jobs,
     run_job_loop,
 )
-from repro.runtime.lifecycle import ChunkSettler, enter_close, mark_open
+from repro.runtime.lifecycle import ChunkSettler, PoolLifecycle, enter_close
 from repro.runtime.workload import Job, Workload
 
 __all__ = [
@@ -370,7 +369,6 @@ class EnsembleBackend:
             "chunks": 1 if jobs else 0,
             "steals": 0,
             "payload_bytes": 0,
-            "warm_hits": 0,
             "memo_hits": 0,
             "ensemble_jobs": stats["ensemble_jobs"],
             "fallback_jobs": stats["fallback_jobs"],
@@ -503,7 +501,7 @@ def _pack_shm(
     return {i: result for i, result in enumerate(results) if not in_shm[i]}
 
 
-class EnsembleProcessBackend:
+class EnsembleProcessBackend(PoolLifecycle):
     """Ensemble shards on a persistent pool + shared-memory results.
 
     ``execute`` splits the batch into one shard per worker, runs each
@@ -537,10 +535,8 @@ class EnsembleProcessBackend:
         straggler_cutoff: int | None = None,
     ) -> None:
         _require_capable(workload)
+        super().__init__(workers)
         self.workload = workload
-        self.workers = workers or os.cpu_count() or 1
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
         self._caps = {
             "min_population": min_population,
             "max_states": max_states,
@@ -549,47 +545,16 @@ class EnsembleProcessBackend:
         }
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
         self.last_dispatch: dict[str, int] = {}
-        self.generation = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._owner_pid = os.getpid()
         self._live_shm: set = set()
 
     # -- pool lifecycle ------------------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None and os.getpid() != self._owner_pid:
-            # Forked copy: the pool belongs to the parent process.
-            self._pool = None
-        if self._pool is None:
-            self.generation += 1
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            self._owner_pid = os.getpid()
-            mark_open(self)
-        return self._pool
-
-    def recover(self) -> None:
-        """Drop the pool (broken or not); the next submit rebuilds it
-        under a new generation.  In-flight shared-memory blocks are
-        unlinked by their wrapper callbacks as the futures die."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
     def close(self) -> None:
-        if not enter_close(self):
-            return
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
+        # Release every block still live; after recover() the wrapper
+        # callbacks unlink in-flight blocks as their futures die.
+        super().close()
         for shm in list(self._live_shm):
             self._release_shm(shm)
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        try:
-            if os.getpid() == self._owner_pid:
-                self.close()
-        except Exception:
-            pass
 
     def _release_shm(self, shm) -> None:
         self._live_shm.discard(shm)
@@ -733,7 +698,6 @@ class EnsembleProcessBackend:
             "chunks": len(shards),
             "steals": 0,
             "payload_bytes": payload_bytes,
-            "warm_hits": 0,
             "memo_hits": 0,
             "ensemble_jobs": aggregate["ensemble_jobs"],
             "fallback_jobs": aggregate["fallback_jobs"],

@@ -476,7 +476,6 @@ class JournaledBackend:
                 "chunks": inner_dispatch.get("chunks", 0),
                 "steals": inner_dispatch.get("steals", 0),
                 "payload_bytes": inner_dispatch.get("payload_bytes", 0),
-                "warm_hits": inner_dispatch.get("warm_hits", 0),
                 "memo_hits": inner_dispatch.get("memo_hits", 0),
                 "journal_hits": served,
                 "journal_dead_hits": dead_served,

@@ -14,7 +14,8 @@ chunk state machine with small local variations:
   aggregate-cache-stats / record-chunk-latency dance over the standard
   ``(results, stats, elapsed)`` payload;
 * **closing** — six backends each guarded double-``close()`` with
-  their own private state (or not at all).
+  their own private state (or not at all), and the two pool backends
+  each kept their own fork guard, generation counter and restart.
 
 This module is that state machine extracted once.  The session
 scheduler (:mod:`repro.runtime.session`) drives the same pieces for
@@ -25,7 +26,9 @@ thing whether it was born from a one-shot ``execute()`` or a stream of
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import os
+from collections.abc import Callable, Sequence
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -35,7 +38,9 @@ from repro.obs.telemetry import absorb_chunk_telemetry
 __all__ = [
     "ChunkPlan",
     "ChunkSettler",
+    "PoolLifecycle",
     "chunk_offsets",
+    "close_when_collected",
     "plan_chunks",
     "enter_close",
     "mark_open",
@@ -114,7 +119,7 @@ class ChunkSettler:
     delta, folds the chunk's resident-cache stats into ``aggregate``,
     and records the chunk's wall time under the owning backend's
     label.  Scatter (where the results go) stays at the call site —
-    the four dispatch loops address slots differently — but the
+    the dispatch loops address slots differently — but the
     bookkeeping they used to copy from each other lives here.
 
     ``size_mode`` decides how per-chunk cache sizes combine:
@@ -156,7 +161,7 @@ class ChunkSettler:
     def absorb_stats(self, stats: dict) -> None:
         """Fold one chunk's cache stats in (no telemetry, no latency).
 
-        The seam for locally-executed remainders — the dist backend's
+        The seam for locally-executed remainders — the coordinator's
         degrade-to-serial path aggregates its local cache through here
         without fabricating a chunk latency observation.
         """
@@ -180,7 +185,7 @@ def enter_close(backend: Any) -> bool:
     Backends open their ``close()`` with ``if not enter_close(self):
     return`` so a double close is a no-op by construction rather than
     by each backend's private state happening to tolerate it.  Reopen
-    points (``_ensure_pool``, ``_ensure_comm``, …) call
+    points (``_ensure_pool``, the dist backend's ``_open``, …) call
     :func:`mark_open` so the close-execute-close lifecycle still works
     for backends that rebuild lazily.
     """
@@ -193,9 +198,78 @@ def enter_close(backend: Any) -> bool:
     return True
 
 
+def close_when_collected(backend: Any) -> None:  # pragma: no cover - GC timing
+    """``__del__`` for backends owning processes, sockets or threads:
+    close them — unless this is a forked copy, whose resources belong
+    to the parent (``_owner_pid``)."""
+    try:
+        if os.getpid() == backend._owner_pid:
+            backend.close()
+    except Exception:
+        pass
+
+
 def mark_open(backend: Any) -> None:
     """Clear the close guard: the backend (re)acquired live resources."""
     try:
         setattr(backend, _CLOSED_FLAG, False)
     except AttributeError:  # pragma: no cover - __slots__ backends opt out
         pass
+
+
+class PoolLifecycle:
+    """One persistent ``ProcessPoolExecutor``, owned by one backend.
+
+    Built lazily under a bumped ``generation``; ``recover()`` discards
+    it, broken or not; ``close()`` is idempotent; the next use after
+    either rebuilds.  Subclasses warm workers via
+    :meth:`_pool_initializer`.
+    """
+
+    def __init__(self, workers: int | None) -> None:
+        self.workers = workers or os.cpu_count() or 1
+        if self.workers < 1:
+            raise ValueError("need at least one worker")
+        self.generation = 0
+        self._pool: ProcessPoolExecutor | None = None
+        self._owner_pid = os.getpid()
+
+    def _pool_initializer(self) -> tuple[Callable[..., None] | None, tuple]:
+        """``(initializer, initargs)`` for the pool about to be built;
+        ``self.generation`` already names its incarnation."""
+        return None, ()
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is not None and os.getpid() != self._owner_pid:
+            # Fork-unsafe state: this object was copied into a child
+            # process.  The pool's queues and worker processes belong
+            # to the parent — drop the reference (never shut the
+            # parent's workers down from here) and rebuild.
+            self._pool = None
+        if self._pool is None:
+            self.generation += 1
+            initializer, initargs = self._pool_initializer()
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=initializer, initargs=initargs
+            )
+            self._owner_pid = os.getpid()
+            mark_open(self)
+        return self._pool
+
+    def recover(self) -> None:
+        """Discard the pool — broken or not — so the next submit starts
+        a fresh one under a new generation.  This is the restart step
+        after a worker crash surfaces as
+        :class:`~concurrent.futures.process.BrokenProcessPool`."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def close(self) -> None:
+        if not enter_close(self):
+            return
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+    __del__ = close_when_collected

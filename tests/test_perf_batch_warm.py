@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm.dist import DistBackend
 from repro.machines.turing import (
     TuringMachine,
     binary_increment,
@@ -30,6 +31,7 @@ from repro.perf.batch import (
     machine_key,
     run_many,
 )
+from repro.runtime.workloads.machines import MACHINES as TM_WORKLOAD
 
 MACHINES = [binary_increment, palindrome_checker, copier, unary_adder]
 
@@ -169,13 +171,11 @@ def test_warm_memo_answers_repeats_without_the_pool():
     try:
         jobs = [(m(), "101") for m in MACHINES] * 2
         first = run_many(jobs, backend=backend)
-        assert backend.last_dispatch["warm_hits"] == 0
         assert backend.last_dispatch["memo_hits"] == 0
         with observed() as obs:
             second = run_many(jobs, backend=backend)
         assert second == first
         summary = backend.last_dispatch
-        assert summary["warm_hits"] == len(jobs)
         # memo_hits is the explicit disambiguator: a memo-served batch
         # reports chunks=0 and payload_bytes=0 *plus* memo_hits=N, so
         # "nothing ran" and "everything was memoed" read differently.
@@ -186,8 +186,16 @@ def test_warm_memo_answers_repeats_without_the_pool():
         backend.close()
 
 
-def test_invalidate_drops_memo_and_tables():
-    backend = ProcessBackend(workers=2)
+@pytest.mark.parametrize(
+    "make_backend",
+    [
+        lambda: ProcessBackend(workers=2),
+        lambda: DistBackend(TM_WORKLOAD, nodes=2, topology="single_node", workers_per_node=0),
+    ],
+    ids=["process", "dist"],
+)
+def test_invalidate_drops_memo_and_tables(make_backend):
+    backend = make_backend()
     try:
         jobs = [(binary_increment(), "1" * (i + 1)) for i in range(4)]
         first = run_many(jobs, backend=backend)
@@ -195,7 +203,7 @@ def test_invalidate_drops_memo_and_tables():
         assert backend._memo == {} and backend._known == {} and backend._cost == {}
         again = run_many(jobs, backend=backend)  # rebuilt from nothing
         assert again == first
-        assert backend.last_dispatch["warm_hits"] == 0
+        assert backend.last_dispatch["memo_hits"] == 0
     finally:
         backend.close()
 

@@ -286,7 +286,52 @@ def test_process_backend_binds_workload_and_matches_serial():
         # Warm memo: the second call never touches the pool.
         again = run_jobs(SCALE, jobs, backend=backend)
         assert again == expected
-        assert backend.last_dispatch["warm_hits"] == len(jobs)
+        assert backend.last_dispatch["memo_hits"] == len(jobs)
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize(
+    "name,kwargs",
+    [
+        pytest.param("process", {"workers": 2}, id="process"),
+        pytest.param(
+            "dist",
+            {"nodes": 2, "topology": "single_node", "workers_per_node": 0},
+            id="dist",
+        ),
+    ],
+)
+def test_batch_larger_than_program_table_matches_serial(name, kwargs):
+    """A batch with more distinct programs than the registry keeps
+    between batches (4096) must still resolve every id it uses."""
+    from repro.machines.busybeaver import enumerate_machines
+
+    jobs = [(machine, "") for machine in enumerate_machines(3, 5000)]
+    expected = run_jobs("machines", jobs, fuel=64)
+    backend = create_backend(name, workload="machines", **kwargs)
+    try:
+        assert run_jobs("machines", jobs, fuel=64, backend=backend) == expected
+    finally:
+        backend.close()
+
+
+def test_dist_chunk_on_the_wire_cannot_be_cancelled():
+    """A retired hedge twin (or an unwinding dispatch loop) cancels
+    futures; a dist chunk already sent must refuse, so its reply lands
+    normally instead of racing into a cancelled future."""
+    from repro.machines.turing import binary_increment, copier
+
+    jobs = [(binary_increment(), "1011"), (copier(), "111")]
+    backend = create_backend(
+        "dist", workload="machines", nodes=2, topology="single_node", workers_per_node=0
+    )
+    try:
+        future = backend.submit_chunk(jobs, fuel=1_000, compiled=True)
+        assert not future.cancel()
+        results, _, _ = future.result(timeout=30)
+        assert results == run_jobs("machines", jobs, fuel=1_000)
+        assert backend.duplicate_results == 0
     finally:
         backend.close()
 
