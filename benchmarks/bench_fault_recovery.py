@@ -6,7 +6,7 @@ off.  This harness keeps both promises of
 :mod:`repro.faults.supervisor` honest:
 
 1. **Fault-free overhead gate** — ``run_many`` under
-   ``SupervisedBackend(SerialBackend())`` vs the bare
+   ``SupervisedBackend(SerialBackend(MACHINES))`` vs the bare
    ``SerialBackend`` on the same batch.  The supervision event loop
    (futures, deadlines, per-chunk accounting) must cost < 10% or the
    script exits 1.
@@ -48,7 +48,9 @@ from repro.machines.turing import (  # noqa: E402
     copier,
     palindrome_checker,
 )
-from repro.perf.batch import SerialBackend, run_many  # noqa: E402
+from repro.perf.batch import run_many  # noqa: E402
+from repro.runtime import SerialBackend  # noqa: E402
+from repro.runtime.workloads.machines import MACHINES  # noqa: E402
 from repro.util.timing import time_callable  # noqa: E402
 
 ROOT = _HERE.parent
@@ -69,9 +71,9 @@ def measure_supervision_overhead(smoke: bool, *, repeats: int) -> dict:
     njobs = 32 if smoke else 64
     jobs = [(binary_increment(), "1" * (tape_len + i)) for i in range(njobs)]
     fuel = 200_000
-    bare = SerialBackend()
+    bare = SerialBackend(MACHINES)
     supervised = SupervisedBackend(
-        inner=SerialBackend(), policy=SupervisorPolicy(chunksize=max(1, njobs // 8))
+        inner=SerialBackend(MACHINES), policy=SupervisorPolicy(chunksize=max(1, njobs // 8))
     )
     expected = run_many(jobs, fuel=fuel, backend=bare)
     assert run_many(jobs, fuel=fuel, backend=supervised) == expected, (
@@ -114,7 +116,7 @@ def chaos_recovery_check(smoke: bool) -> dict:
 
     schedule = ChaosSchedule(kinds={1: "crash", 3: "timeout", 6: "corrupt"})
     chaos = ChaosBackend(
-        SerialBackend(), schedule=schedule, poison_jobs=[jobs[poison_index]]
+        SerialBackend(MACHINES), schedule=schedule, poison_jobs=[jobs[poison_index]]
     )
     supervised = SupervisedBackend(
         inner=chaos,

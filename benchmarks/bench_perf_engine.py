@@ -43,13 +43,10 @@ from repro.machines.turing import (  # noqa: E402
     copier,
     palindrome_checker,
 )
-from repro.perf.batch import (  # noqa: E402
-    CompileCache,
-    ProcessBackend,
-    SerialBackend,
-    run_many,
-)
+from repro.perf.batch import run_many  # noqa: E402
 from repro.perf.engine import compile_dfa, compile_tm  # noqa: E402
+from repro.runtime import ProcessBackend, ResidentCache, SerialBackend  # noqa: E402
+from repro.runtime.workloads.machines import MACHINES  # noqa: E402
 from repro.util.timing import time_callable  # noqa: E402
 
 ROOT = _HERE.parent
@@ -145,7 +142,7 @@ def measure_batch(smoke: bool, *, repeats: int) -> dict:
     assert run_many(jobs, fuel=fuel) == run_many(jobs, fuel=fuel, compiled=False)
     ref_s = time_callable(lambda: run_many(jobs, fuel=fuel, compiled=False), repeats=repeats)
     fast_s = time_callable(lambda: run_many(jobs, fuel=fuel), repeats=repeats)
-    cache = CompileCache()
+    cache = ResidentCache(MACHINES)
     run_many(jobs, fuel=fuel, cache=cache)
     return {
         "name": "batch_palindrome+copier",
@@ -176,10 +173,10 @@ def measure_batch_warm(smoke: bool, *, repeats: int) -> dict:
     jobs = [(palindrome_checker(), "a" * 60)] * copies + [
         (copier(), "1" * 40)
     ] * copies
-    serial = run_many(jobs, fuel=fuel, backend=SerialBackend())
+    serial = run_many(jobs, fuel=fuel, backend=SerialBackend(MACHINES))
 
     # Cold: one-shot dispatch on a fresh backend, pool build included.
-    cold_backend = ProcessBackend(workers=2)
+    cold_backend = ProcessBackend(MACHINES, workers=2)
     try:
         import time as _time
 
@@ -190,7 +187,7 @@ def measure_batch_warm(smoke: bool, *, repeats: int) -> dict:
         cold_backend.close()
     assert cold_results == serial, "cold warm-pool dispatch diverged from SerialBackend"
 
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(MACHINES, workers=2)
     try:
         warm_results = run_many(jobs, fuel=fuel, backend=backend)  # prime
         assert pickle.dumps(warm_results) == pickle.dumps(serial), (

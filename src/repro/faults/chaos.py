@@ -37,7 +37,7 @@ it crashes, every time, no matter how often it is retried — which is
 exactly the behaviour that forces a supervisor to bisect the chunk and
 quarantine the job.  Poison is matched by job *content* — the
 workload adapter's ``content_key`` (for Turing machines,
-:func:`repro.perf.batch.machine_key` plus the tape) — not identity, so
+:func:`repro.perf.engine.program_key` plus the tape) — not identity, so
 a job decoded twice from the same description is still poison, for any
 workload kind.
 
@@ -162,7 +162,7 @@ class ChaosSchedule(FaultSchedule):
 def job_key(job: Job, workload: Workload | None = None) -> tuple:
     """Content key of a ``(program, input)`` job — how poison is matched.
 
-    Defaults to the Turing-machine adapter (``(machine_key(machine),
+    Defaults to the Turing-machine adapter (``(program_key(machine),
     tape)``, the historical key); pass the job's workload for any
     other kind.
     """

@@ -1,6 +1,6 @@
 """Supervised batch execution: deadlines, retries, hedging, quarantine.
 
-The bare backends in :mod:`repro.perf.batch` are the optimistic fast
+The bare backends in :mod:`repro.runtime.core` are the optimistic fast
 path: one poison job, lost worker, or hung chunk aborts the whole
 batch.  :class:`SupervisedBackend` is the deliberate recovery path
 layered on top — the two-systems split from PAPERS.md — and it drives
@@ -24,7 +24,7 @@ any chunk-submitting backend through an event loop of futures
   supervisor degrades to a fresh in-process
   :class:`~repro.runtime.core.SerialBackend` bound to the same
   workload and finishes the batch.
-  This composes with :class:`~repro.perf.batch.ProcessBackend`'s warm
+  This composes with :class:`~repro.runtime.core.ProcessBackend`'s warm
   state for free: ``recover()`` bumps the pool generation, the next
   ``submit_chunk`` re-seeds worker program tables from the master
   registry, and a generation-tagged payload can never be served from a
@@ -448,11 +448,11 @@ class SupervisedBackend:
     """A :class:`~repro.runtime.core.Backend` that survives its inner one.
 
     ``inner`` may be a backend name (resolved through
-    :func:`repro.runtime.core.create_backend` with ``inner_kwargs``) or
-    any instance exposing ``submit_chunk``.  The supervised workload is
-    read off the inner backend; pass ``workload=`` (an adapter or a
-    kind name) to pick one when ``inner`` is a name — omitted, the
-    Turing-machine adapter keeps the historical behaviour.  ``execute``
+    :func:`repro.runtime.core.resolve_backend` with ``inner_kwargs``)
+    or any instance exposing ``submit_chunk``.  The supervised workload
+    is read off the inner backend; pass ``workload=`` (an adapter or a
+    kind name) to pick one when ``inner`` is a name — omitted, it is
+    the Turing-machine adapter, as for every backend name.  ``execute``
     returns one slot per job, in order: the exact result for every job
     that could be completed, ``None`` for the (rare) quarantined ones,
     detailed in ``last_report``.
@@ -471,17 +471,7 @@ class SupervisedBackend:
     ) -> None:
         if isinstance(workload, str):
             workload = get_workload(workload)
-        if isinstance(inner, str):
-            if workload is None:
-                # Historical default: resolve through the TM frontend's
-                # registry, so inner is the TM-bound backend class.
-                from repro.perf.batch import BACKENDS as _TM_BACKENDS
-
-                inner = _core.create_backend(inner, registry=_TM_BACKENDS, **inner_kwargs)
-            else:
-                inner = _core.create_backend(inner, workload=workload, **inner_kwargs)
-        elif inner_kwargs:
-            raise ValueError("backend kwargs only apply when inner is a name")
+        inner, _ = _core.resolve_backend(inner, workload=workload, **inner_kwargs)
         if not hasattr(inner, "submit_chunk"):
             raise TypeError(f"inner backend {inner!r} has no submit_chunk")
         self.inner = inner

@@ -9,23 +9,15 @@ flattened into flat lists, the tape a growable ``bytearray``) and runs
 a tight hot loop that is step-for-step equivalent to the reference —
 the equivalence is property-tested, which is what licenses the speed.
 
-:mod:`repro.perf.batch` executes batches of (machine, input) jobs with
-a keyed LRU compile cache and pluggable execution backends (serial, or
-a chunked process pool), so universal-machine replays and busy-beaver
-sweeps amortise compilation and can use every core.  Since the runtime
-extraction it is the Turing-machine frontend of
-:mod:`repro.runtime` — the workload-generic execution layer every
-subsystem shares.
+:func:`~repro.perf.batch.run_many` executes batches of (machine, input)
+jobs through any :mod:`repro.runtime` backend (serial, a warm process
+pool, …), so universal-machine replays and busy-beaver sweeps amortise
+compilation and can use every core.  The backends, resident caches and
+sessions themselves are the runtime's — the workload-generic execution
+layer every subsystem shares.
 """
 
-from repro.perf.batch import (
-    BACKENDS,
-    CompileCache,
-    ProcessBackend,
-    SerialBackend,
-    create_backend,
-    run_many,
-)
+from repro.perf.batch import run_many
 from repro.perf.engine import (
     CompiledDFA,
     CompiledMachine,
@@ -49,9 +41,4 @@ __all__ = [
     "compile_statemachine",
     "run_compiled",
     "run_many",
-    "CompileCache",
-    "create_backend",
-    "BACKENDS",
-    "SerialBackend",
-    "ProcessBackend",
 ]

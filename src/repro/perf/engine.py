@@ -98,6 +98,11 @@ def program_key(machine: TuringMachine) -> tuple:
     machine in a content-keyed cache.  Keying assumes ``delta`` is not
     mutated after the first call — the same assumption every compiled
     table already makes.
+
+    The halting-state sets are sorted into tuples: a frozenset of
+    ``str`` iterates in per-process hash order, and the journal key,
+    the trace digest and dist's home node all hash this key, so it must
+    pickle and ``repr`` the same in every process.
     """
     entry = _KEY_MEMO.get(id(machine))
     if entry is not None and entry() is machine:
@@ -106,8 +111,8 @@ def program_key(machine: TuringMachine) -> tuple:
     key = (
         f"{cls.__module__}.{cls.__qualname__}",
         machine.initial,
-        machine.accept_states,
-        machine.reject_states,
+        tuple(sorted(machine.accept_states)),
+        tuple(sorted(machine.reject_states)),
         tuple(sorted(machine.delta.items())),
     )
     entry = _KeyRef(machine, _forget)

@@ -11,9 +11,10 @@ stack unchanged.
     from repro.runtime import run_jobs
     results = run_jobs("complang", jobs, backend="process")
 
-:mod:`repro.perf.batch` remains the TM-specialised frontend (same
-public surface, byte-identical results); the adapters live in
-:mod:`repro.runtime.workloads`.
+This is the one backend surface: Turing-machine callers use the same
+backends with the ``MACHINES`` adapter (``SerialBackend(MACHINES)``),
+and :func:`repro.perf.batch.run_many` is ``run_jobs`` plus the TM
+span and counters.  The adapters live in :mod:`repro.runtime.workloads`.
 """
 
 from repro.runtime.core import (

@@ -1,15 +1,15 @@
 """The narrow-waist execution core: one batch stack, any workload.
 
-This is the warm batch machinery that grew up in
-:mod:`repro.perf.batch` — payload interning, resident program tables,
-persistent warm process pools, adaptive work-stealing dispatch —
-refactored so every mechanism is parameterized by a
+The warm batch machinery — payload interning, resident program tables,
+persistent warm process pools, adaptive work-stealing dispatch — with
+every mechanism parameterized by a
 :class:`~repro.runtime.workload.Workload` adapter instead of
-hard-coded Turing-machine compile/run calls.  ``perf.batch`` is now a
-thin TM frontend over this module (its public surface is unchanged);
-complang VM runs, DPLL solves and busy-beaver sweeps plug in through
-their own adapters and get the same amortisation and the same
-supervision hooks for free.
+hard-coded Turing-machine compile/run calls.  Turing machines are one
+adapter among several (``MACHINES``, the default of
+:func:`create_backend`); complang VM runs, DPLL solves and busy-beaver
+sweeps plug in through their own adapters and get the same
+amortisation and the same supervision hooks for free.  Every backend
+name resolves through the one :data:`BACKENDS` registry.
 
 The mechanisms, workload-generically:
 
@@ -515,9 +515,11 @@ class Coordinator:
 
     # -- program registry ----------------------------------------------------
 
-    def _register(self, program: Any) -> int:
-        """Intern a program; returns its compact program id."""
-        key = self.workload.program_key(program)
+    def _register(self, program: Any, key: Any = None) -> int:
+        """Intern a program, keyed by ``key`` if the caller already
+        computed it; returns its compact program id."""
+        if key is None:
+            key = self.workload.program_key(program)
         pid = self._key_ids.get(key)
         if pid is None:
             pid = self._key_ids[key] = self._next_id
@@ -661,8 +663,8 @@ class Coordinator:
         self.last_dispatch = {}
         if not jobs:
             return []
-        unique, slots, _ = intern_jobs(self.workload, jobs)
-        pids = [self._register(program) for program, _ in unique]
+        unique, slots, keys = intern_jobs(self.workload, jobs)
+        pids = [self._register(program, key) for (program, _), key in zip(unique, keys)]
 
         # Warm memo: a (program, input, fuel) triple this backend has
         # already answered never goes back to the transport.
@@ -1026,7 +1028,7 @@ BACKENDS = {
 WRAPPER_BACKENDS = frozenset({"journaled", "supervised"})
 
 
-def _check_composite(name: str, reg: Mapping[str, Any]) -> None:
+def _check_composite(name: str) -> None:
     """Validate a composite backend name's whole prefix chain up front.
 
     ``create_backend`` resolves composites recursively, one wrapper at
@@ -1046,11 +1048,11 @@ def _check_composite(name: str, reg: Mapping[str, Any]) -> None:
     ``TypeError`` from the supervisor's constructor.
     """
     parts = name.split(":")
-    wrappers = sorted(WRAPPER_BACKENDS & set(reg))
+    wrappers = sorted(WRAPPER_BACKENDS)
     for part in parts[:-1]:
-        if part in WRAPPER_BACKENDS and part in reg:
+        if part in WRAPPER_BACKENDS:
             continue
-        if part in reg:
+        if part in BACKENDS:
             raise ValueError(
                 f"backend {part!r} cannot wrap another backend in {name!r};"
                 f" composable wrapper prefixes are {wrappers}"
@@ -1060,13 +1062,13 @@ def _check_composite(name: str, reg: Mapping[str, Any]) -> None:
             f" composable wrapper prefixes are {wrappers}"
         )
     leaf = parts[-1]
-    if leaf not in reg:
+    if leaf not in BACKENDS:
         raise ValueError(
             f"unknown leaf backend {leaf!r} in composite backend {name!r};"
-            f" choose from {sorted(reg)}"
+            f" choose from {sorted(BACKENDS)}"
         )
     for outer, inner in zip(parts, parts[1:]):
-        if outer == "supervised" and inner in WRAPPER_BACKENDS and inner in reg:
+        if outer == "supervised" and inner in WRAPPER_BACKENDS:
             raise ValueError(
                 f"wrapper {inner!r} cannot sit under 'supervised' in composite"
                 f" backend {name!r}: 'supervised' drives its inner backend's"
@@ -1079,15 +1081,12 @@ def create_backend(
     name: str = "serial",
     *,
     workload: Workload | str | None = None,
-    registry: Mapping[str, Any] | None = None,
     **kwargs,
 ) -> Backend:
-    """Factory over a backend registry, by name.
+    """Factory over :data:`BACKENDS`, by name.
 
-    With the default (generic) registry the factory is called with the
-    resolved workload as its first argument; frontend registries (e.g.
-    :data:`repro.perf.batch.BACKENDS`) bind their own workload, so
-    their factories are called with ``kwargs`` only.
+    Every factory is called with the resolved workload (by default the
+    ``machines`` adapter) as its first argument.
 
     Composite names stack wrapping backends left to right as a generic
     prefix chain: every segment before the last must be a registered
@@ -1102,12 +1101,11 @@ def create_backend(
     through this same function (wrapper-specific kwargs like
     ``journal_dir`` still pass through ``kwargs``).
     """
-    reg = registry if registry is not None else BACKENDS
-    factory = reg.get(name)
+    factory = BACKENDS.get(name)
     if factory is None and ":" in name:
-        _check_composite(name, reg)
+        _check_composite(name)
         head, _, rest = name.partition(":")
-        factory = reg.get(head)
+        factory = BACKENDS.get(head)
         if factory is not None:
             if "inner" in kwargs:
                 raise ValueError(
@@ -1116,11 +1114,9 @@ def create_backend(
             kwargs["inner"] = rest
     if factory is None:
         raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(reg)}"
+            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
             " (wrappers compose as 'journaled:<inner>' / 'supervised:<inner>')"
         )
-    if registry is not None:
-        return factory(**kwargs)
     if isinstance(workload, str):
         workload = get_workload(workload)
     elif workload is None:
@@ -1132,22 +1128,19 @@ def resolve_backend(
     backend: str | Backend,
     *,
     workload: Workload | str | None = None,
-    registry: Mapping[str, Any] | None = None,
     **kwargs,
 ) -> tuple[Backend, bool]:
     """Resolve ``str | Backend`` to ``(backend, owned)``.
 
-    The single home of the string-resolution logic ``run_many`` and the
-    supervisor paths used to repeat: a name is created through
+    The single home of the string-resolution logic every entry point
+    and wrapper shares (``run_jobs``, ``run_many``, the supervisor's
+    and the journal's ``inner``): a name is created through
     :func:`create_backend` (and ``owned=True`` tells the caller to
     close it); an instance passes through untouched — in which case
     backend kwargs are rejected rather than silently dropped.
     """
     if isinstance(backend, str):
-        return (
-            create_backend(backend, workload=workload, registry=registry, **kwargs),
-            True,
-        )
+        return create_backend(backend, workload=workload, **kwargs), True
     if kwargs:
         raise ValueError("backend kwargs only apply when backend is a name")
     return backend, False
@@ -1164,14 +1157,15 @@ def run_jobs(
 ) -> list[Any]:
     """Run every ``(program, input)`` job; results keep job order.
 
-    The workload-generic face of :func:`repro.perf.batch.run_many`:
-    each result equals what ``workload.run_direct(program, input,
-    fuel)`` would return — the runtime changes the cost, never the
-    answer.  Equal jobs (by ``content_key``) share one result object;
-    workload purity makes sharing exact.  The one exception is the
-    ``supervised`` backend, which may quarantine a poison job rather
-    than fail the batch: its slot holds ``None`` and the dead letter is
-    recorded on ``backend.last_report``.
+    The workload-generic face of :func:`repro.perf.batch.run_many`
+    (which adds only its TM span and counters): each result equals
+    what ``workload.run_direct(program, input, fuel)`` would return —
+    the runtime changes the cost, never the answer.  Equal jobs (by
+    ``content_key``) share one result object; workload purity makes
+    sharing exact.  The one exception is the ``supervised`` backend,
+    which may quarantine a poison job rather than fail the batch: its
+    slot holds ``None`` and the dead letter is recorded on
+    ``backend.last_report``.
 
     A backend named by string is created — and closed — by this call;
     pass an instance (bound to the same workload) to keep its pool and

@@ -324,7 +324,7 @@ class JournaledBackend:
     """A :class:`~repro.runtime.core.Backend` whose results survive it.
 
     ``inner`` is a backend name (resolved through
-    :func:`repro.runtime.core.create_backend`, composites like
+    :func:`repro.runtime.core.resolve_backend`, composites like
     ``"supervised:process"`` included) or any instance with
     ``execute``.  On construction the journal directory is recovered:
     completed results become the exactly-once memo, dead letters are
@@ -355,10 +355,7 @@ class JournaledBackend:
             raise ValueError("commit_every must be >= 1")
         if isinstance(workload, str):
             workload = get_workload(workload)
-        if isinstance(inner, str):
-            inner = _core.create_backend(inner, workload=workload, **inner_kwargs)
-        elif inner_kwargs:
-            raise ValueError("backend kwargs only apply when inner is a name")
+        inner, _ = _core.resolve_backend(inner, workload=workload, **inner_kwargs)
         if not hasattr(inner, "execute"):
             raise TypeError(f"inner backend {inner!r} has no execute")
         self.inner = inner
@@ -453,6 +450,9 @@ class JournaledBackend:
         order = list(pending.items())
         appended = self.journal.appends
         commits = 0
+        # The inner backend's counters, summed over this call's slices
+        # only: a journal-served call dispatched nothing.
+        dispatched = dict.fromkeys(("chunks", "steals", "payload_bytes", "memo_hits"), 0)
         try:
             for start in range(0, len(order), self.commit_every):
                 batch = order[start : start + self.commit_every]
@@ -460,23 +460,19 @@ class JournaledBackend:
                 with OBS.span(
                     "journal.commit", commit=commits, jobs=len(batch)
                 ):
-                    self._commit(batch, jobs, out, fuel=fuel, compiled=compiled, cache=cache)
+                    self._commit(
+                        batch, jobs, out, dispatched, fuel=fuel, compiled=compiled, cache=cache
+                    )
             # The final slice's completions have no next barrier to ride;
             # make them durable before the results leave this call.
             self.journal.sync()
         finally:
-            inner_dispatch = getattr(self.inner, "last_dispatch", None) or {}
-            self.last_cache_stats = dict(
-                getattr(self.inner, "last_cache_stats", _core._ZERO_STATS)
-            )
+            unique = len(set(digests))
             self.last_dispatch = {
                 "jobs": len(jobs),
-                "unique_jobs": len(pending) + served + dead_served,
-                "deduped": len(jobs) - len(set(digests)),
-                "chunks": inner_dispatch.get("chunks", 0),
-                "steals": inner_dispatch.get("steals", 0),
-                "payload_bytes": inner_dispatch.get("payload_bytes", 0),
-                "memo_hits": inner_dispatch.get("memo_hits", 0),
+                "unique_jobs": unique,
+                "deduped": len(jobs) - unique,
+                **dispatched,
                 "journal_hits": served,
                 "journal_dead_hits": dead_served,
                 "journal_commits": commits,
@@ -489,12 +485,17 @@ class JournaledBackend:
         batch: list[tuple[str, list[int]]],
         jobs: Sequence[Job],
         out: list[Any],
+        dispatched: dict[str, int],
         *,
         fuel: int,
         compiled: bool,
         cache: _core.ResidentCache | None,
     ) -> None:
-        """One durable slice: journal intent, run, journal outcomes."""
+        """One durable slice: journal intent, run, journal outcomes.
+
+        The inner backend's counters for the slice are added into
+        ``dispatched`` and ``last_cache_stats``, even when it raises.
+        """
         from repro.faults.supervisor import DeadLetter
 
         # One barrier per slice: syncing the submitted records also
@@ -505,7 +506,19 @@ class JournaledBackend:
             self.journal.append_submitted(digest, fuel=fuel)
         self.journal.sync()  # barrier: recovery will know these were in flight
         run_jobs = [jobs[slots[0]] for _, slots in batch]
-        results = self.inner.execute(run_jobs, fuel=fuel, compiled=compiled, cache=cache)
+        try:
+            results = self.inner.execute(run_jobs, fuel=fuel, compiled=compiled, cache=cache)
+        finally:
+            inner = getattr(self.inner, "last_dispatch", None) or {}
+            for name in dispatched:
+                dispatched[name] += inner.get(name, 0)
+            stats = getattr(self.inner, "last_cache_stats", None) or _core._ZERO_STATS
+            total = self.last_cache_stats
+            self.last_cache_stats = {
+                "hits": total["hits"] + stats["hits"],
+                "misses": total["misses"] + stats["misses"],
+                "size": max(total["size"], stats["size"]),
+            }
         report = getattr(self.inner, "last_report", None)
         letters = (
             {letter.index: letter for letter in report.quarantined}

@@ -16,7 +16,9 @@ from repro.faults.supervisor import SupervisedBackend, SupervisorPolicy
 from repro.machines.busybeaver import busy_beaver_machine
 from repro.machines.turing import binary_increment, copier, palindrome_checker
 from repro.machines.universal import decode_tm, encode_tm
-from repro.perf.batch import ProcessBackend, SerialBackend, run_many
+from repro.perf.batch import run_many
+from repro.runtime import ProcessBackend, SerialBackend
+from repro.runtime.workloads.machines import MACHINES
 
 JOBS = [
     (binary_increment(), "1011"),
@@ -45,8 +47,8 @@ def test_job_stream_from_faulty_disk_runs_on_both_backends():
         assert outcome.succeeded
         desc, _, tape = outcome.result.decode().partition("\n")
         jobs.append((decode_tm(desc), tape))
-    assert run_many(jobs, backend=SerialBackend()) == REFERENCE
-    assert run_many(jobs, backend=ProcessBackend(workers=2, chunksize=2)) == REFERENCE
+    assert run_many(jobs, backend=SerialBackend(MACHINES)) == REFERENCE
+    assert run_many(jobs, backend=ProcessBackend(MACHINES, workers=2, chunksize=2)) == REFERENCE
 
 
 def test_job_stream_from_flaky_server_runs_on_both_backends():
@@ -61,8 +63,8 @@ def test_job_stream_from_flaky_server_runs_on_both_backends():
         assert outcome.succeeded
         jobs.append((machine, outcome.result))
     assert server.requests_served == len(JOBS)
-    assert run_many(jobs, backend=SerialBackend()) == REFERENCE
-    assert run_many(jobs, backend=ProcessBackend(workers=2, chunksize=3)) == REFERENCE
+    assert run_many(jobs, backend=SerialBackend(MACHINES)) == REFERENCE
+    assert run_many(jobs, backend=ProcessBackend(MACHINES, workers=2, chunksize=3)) == REFERENCE
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -72,7 +74,7 @@ def test_property_supervised_chaos_equals_clean_run(seed):
     jobs = JOBS * 4  # 24 jobs
     clean = run_many(jobs, backend="serial")
     chaos = ChaosBackend(
-        SerialBackend(),
+        SerialBackend(MACHINES),
         schedule=ChaosSchedule(rates={"crash": 0.12, "corrupt": 0.1}, seed=seed),
     )
     backend = SupervisedBackend(

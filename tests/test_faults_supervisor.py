@@ -14,14 +14,15 @@ from repro.faults.supervisor import (
 from repro.machines.busybeaver import busy_beaver_machine
 from repro.machines.turing import TuringMachine, binary_increment, copier, palindrome_checker
 from repro.obs.instrument import observed
-from repro.perf.batch import (
+from repro.perf.batch import run_many
+from repro.runtime import (
     BACKENDS,
-    CompileCache,
     ProcessBackend,
+    ResidentCache,
     SerialBackend,
     create_backend,
-    run_many,
 )
+from repro.runtime.workloads.machines import MACHINES
 
 # Twelve distinct jobs (no duplicate content: poison matching is by content).
 JOBS = (
@@ -40,7 +41,7 @@ CLEAN = [machine.run(tape) for machine, tape in JOBS]
 
 def chaotic(schedule=None, poison=(), **policy_kwargs):
     """A supervisor over a chaos-wrapped serial backend."""
-    inner = ChaosBackend(SerialBackend(), schedule=schedule, poison_jobs=poison)
+    inner = ChaosBackend(SerialBackend(MACHINES), schedule=schedule, poison_jobs=poison)
     return SupervisedBackend(inner=inner, policy=SupervisorPolicy(**policy_kwargs))
 
 
@@ -48,7 +49,7 @@ def chaotic(schedule=None, poison=(), **policy_kwargs):
 
 
 def test_fault_free_supervised_serial_matches_clean():
-    backend = SupervisedBackend(inner=SerialBackend(), policy=SupervisorPolicy(chunksize=3))
+    backend = SupervisedBackend(inner=SerialBackend(MACHINES), policy=SupervisorPolicy(chunksize=3))
     assert run_many(JOBS, backend=backend) == CLEAN
     report = backend.last_report
     assert report.chunks == 4
@@ -58,15 +59,15 @@ def test_fault_free_supervised_serial_matches_clean():
 
 def test_fault_free_supervised_process_matches_clean():
     backend = SupervisedBackend(
-        inner=ProcessBackend(workers=2), policy=SupervisorPolicy(chunksize=4)
+        inner=ProcessBackend(MACHINES, workers=2), policy=SupervisorPolicy(chunksize=4)
     )
     assert run_many(JOBS, backend=backend) == CLEAN
     assert backend.last_report.quarantined == []
 
 
 def test_supervised_aggregates_cache_stats():
-    backend = SupervisedBackend(inner=SerialBackend(), policy=SupervisorPolicy(chunksize=6))
-    cache = CompileCache()
+    backend = SupervisedBackend(inner=SerialBackend(MACHINES), policy=SupervisorPolicy(chunksize=6))
+    cache = ResidentCache(MACHINES)
     jobs = [(binary_increment(), "1" * (i + 1)) for i in range(12)]
     run_many(jobs, backend=backend, cache=cache)
     # Two chunks, each compiling the one distinct machine once.
@@ -76,7 +77,7 @@ def test_supervised_aggregates_cache_stats():
 
 
 def test_supervised_empty_batch():
-    backend = SupervisedBackend(inner=SerialBackend())
+    backend = SupervisedBackend(inner=SerialBackend(MACHINES))
     assert backend.execute([], fuel=100, compiled=True) == []
 
 
@@ -86,7 +87,7 @@ def test_supervised_factory_and_registry():
     assert isinstance(backend, SupervisedBackend)
     assert isinstance(backend.inner, SerialBackend)
     with pytest.raises(ValueError):
-        SupervisedBackend(inner=SerialBackend(), workers=2)  # kwargs need a name
+        SupervisedBackend(inner=SerialBackend(MACHINES), workers=2)  # kwargs need a name
     with pytest.raises(TypeError):
         SupervisedBackend(inner=object())
 
@@ -243,7 +244,7 @@ def test_real_broken_process_pool_quarantine_and_recovery():
     """An os._exit in a worker raises BrokenProcessPool; the supervisor
     restarts the pool, quarantines the job, and the backend still works."""
     backend = SupervisedBackend(
-        inner=ProcessBackend(workers=2),
+        inner=ProcessBackend(MACHINES, workers=2),
         policy=SupervisorPolicy(chunksize=1, max_chunk_retries=1, max_pool_restarts=50),
     )
     jobs = [(poison_machine(), "1")]

@@ -24,8 +24,10 @@ from repro.netstack.network import Network
 from repro.obs import OBS, Instrumentation, MetricsRegistry, ObsHook, Tracer, VirtualClock
 from repro.obs.instrument import NULL_SPAN, observed
 from repro.parallel.multicore import Multicore
-from repro.perf.batch import ProcessBackend, run_many
+from repro.perf.batch import run_many
 from repro.perf.engine import compile_tm
+from repro.runtime import ProcessBackend
+from repro.runtime.workloads.machines import MACHINES as TM_WORKLOAD
 
 MACHINES = [binary_increment, palindrome_checker, copier, unary_adder]
 
@@ -125,7 +127,7 @@ def test_run_many_steps_counter_is_exact_serial():
 def test_run_many_steps_counter_is_exact_process():
     jobs = [(m(), "101") for m in MACHINES] * 4
     with observed() as obs:
-        results = run_many(jobs, backend=ProcessBackend(workers=2, chunksize=4))
+        results = run_many(jobs, backend=ProcessBackend(TM_WORKLOAD, workers=2, chunksize=4))
     assert obs.registry.value("tm_steps_total", backend="process") == sum(
         r.steps for r in results
     )
@@ -143,7 +145,7 @@ def test_run_many_span_tree():
 def test_batch_records_chunk_durations_and_queue_depth():
     # Distinct tapes: identical jobs would be interned down to one.
     jobs = [(binary_increment(), "1" * (i + 1)) for i in range(16)]
-    backend = ProcessBackend(workers=2, chunksize=4)
+    backend = ProcessBackend(TM_WORKLOAD, workers=2, chunksize=4)
     try:
         with observed() as obs:
             run_many(jobs, backend=backend)
@@ -182,7 +184,7 @@ def test_traced_run_many_identical_to_untraced(plan, fuel):
 
 def test_cache_metrics_recorded_per_backend():
     jobs = [(binary_increment(), "1")] * 6
-    backend = ProcessBackend(workers=2, chunksize=3)
+    backend = ProcessBackend(TM_WORKLOAD, workers=2, chunksize=3)
     try:
         with observed() as obs:
             run_many(jobs)

@@ -19,15 +19,15 @@ from repro.machines.turing import (
 )
 from repro.machines.universal import UniversalMachine, decode_tm, encode_tm
 from repro.parallel.multicore import Multicore
-from repro.perf.batch import (
-    BACKENDS,
-    CompileCache,
+from repro.perf.batch import run_many
+from repro.perf.engine import program_key
+from repro.runtime import (
     ProcessBackend,
+    ResidentCache,
     SerialBackend,
     create_backend,
-    machine_key,
-    run_many,
 )
+from repro.runtime.workloads.machines import MACHINES
 
 JOBS = [
     (binary_increment(), "1011"),
@@ -65,12 +65,12 @@ def test_machine_key_is_content_based():
     a = binary_increment()
     b = decode_tm(encode_tm(binary_increment()))  # equal content, new object
     assert a is not b
-    assert machine_key(a) == machine_key(b)
-    assert machine_key(a) != machine_key(palindrome_checker())
+    assert program_key(a) == program_key(b)
+    assert program_key(a) != program_key(palindrome_checker())
 
 
 def test_compile_cache_hits_across_equal_machines():
-    cache = CompileCache()
+    cache = ResidentCache(MACHINES)
     a = binary_increment()
     b = decode_tm(encode_tm(binary_increment()))
     first = cache.get(a)
@@ -80,7 +80,7 @@ def test_compile_cache_hits_across_equal_machines():
 
 
 def test_compile_cache_lru_eviction():
-    cache = CompileCache(maxsize=2)
+    cache = ResidentCache(MACHINES, maxsize=2)
     machines = [binary_increment(), palindrome_checker(), copier()]
     for m in machines:
         cache.get(m)
@@ -88,11 +88,11 @@ def test_compile_cache_lru_eviction():
     cache.get(machines[0])  # evicted earlier -> fresh miss
     assert cache.misses == 4
     with pytest.raises(ValueError):
-        CompileCache(maxsize=0)
+        ResidentCache(MACHINES, maxsize=0)
 
 
 def test_run_many_shares_caller_cache():
-    cache = CompileCache()
+    cache = ResidentCache(MACHINES)
     jobs = [(binary_increment(), f"1{'0' * i}") for i in range(6)]
     results = run_many(jobs, cache=cache)
     assert results == reference_results(jobs)
@@ -107,16 +107,15 @@ def test_backend_factory():
     assert backend.workers == 2 and backend.chunksize == 3
     with pytest.raises(ValueError, match="unknown backend"):
         create_backend("gpu")
-    assert set(BACKENDS) == {"serial", "process", "supervised"}
 
 
 def test_process_backend_rejects_zero_workers():
     with pytest.raises(ValueError):
-        ProcessBackend(workers=-1)
+        ProcessBackend(MACHINES, workers=-1)
 
 
 def test_process_backend_chunking():
-    backend = ProcessBackend(workers=2, chunksize=2)
+    backend = ProcessBackend(MACHINES, workers=2, chunksize=2)
     chunks = backend._chunks(JOBS)
     assert [len(c) for c in chunks] == [2, 2, 2]
     assert [job for chunk in chunks for job in chunk] == JOBS
@@ -126,7 +125,7 @@ def test_process_backend_chunk_count_clamped():
     # Without an explicit chunksize the old heuristic produced one
     # chunk per len(jobs)//workers jobs — hundreds of tiny pickled
     # chunks for large batches.  The clamp targets <= workers * 4.
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(MACHINES, workers=2)
     for n in (1, 7, 30, 800):
         jobs = [(binary_increment(), "1")] * n
         chunks = backend._chunks(jobs)
@@ -136,7 +135,7 @@ def test_process_backend_chunk_count_clamped():
 
 
 def test_compile_cache_absorb_merges_hit_miss_only():
-    cache = CompileCache()
+    cache = ResidentCache(MACHINES)
     cache.get(binary_increment())  # one real miss, size 1
     cache.absorb({"hits": 10, "misses": 2, "size": 99})
     # size is a point-in-time property of *this* cache, never additive.
@@ -144,9 +143,9 @@ def test_compile_cache_absorb_merges_hit_miss_only():
 
 
 def test_process_backend_surfaces_worker_cache_stats():
-    backend = ProcessBackend(workers=2, chunksize=4)
+    backend = ProcessBackend(MACHINES, workers=2, chunksize=4)
     try:
-        cache = CompileCache()
+        cache = ResidentCache(MACHINES)
         jobs = [(binary_increment(), "1" * i) for i in range(8)]
         run_many(jobs, backend=backend, cache=cache)
         # Two chunks over one distinct machine.  Each *worker* that
@@ -163,8 +162,8 @@ def test_process_backend_surfaces_worker_cache_stats():
 
 
 def test_serial_backend_reports_delta_not_history():
-    backend = SerialBackend()
-    cache = CompileCache()
+    backend = SerialBackend(MACHINES)
+    cache = ResidentCache(MACHINES)
     jobs = [(binary_increment(), "1")] * 4
     run_many(jobs, backend=backend, cache=cache)
     assert backend.last_cache_stats == {"hits": 3, "misses": 1, "size": 1}
@@ -173,7 +172,7 @@ def test_serial_backend_reports_delta_not_history():
 
 
 def test_serial_submit_chunk_returns_settled_future():
-    future = SerialBackend().submit_chunk(JOBS, fuel=10_000, compiled=True)
+    future = SerialBackend(MACHINES).submit_chunk(JOBS, fuel=10_000, compiled=True)
     assert future.done()
     results, stats, elapsed = future.result()
     assert results == reference_results(JOBS)
@@ -181,7 +180,7 @@ def test_serial_submit_chunk_returns_settled_future():
 
 
 def test_process_submit_chunk_and_recover():
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(MACHINES, workers=2)
     try:
         first = backend.submit_chunk(JOBS[:2], fuel=10_000, compiled=True)
         assert first.result()[0] == reference_results(JOBS[:2])
@@ -210,7 +209,11 @@ def raising_job():
 def test_backend_cache_stats_reset_on_failure(backend_cls):
     # A chunk raising mid-batch used to leave last_cache_stats stale
     # from the previous, successful run.
-    backend = backend_cls(workers=2) if backend_cls is ProcessBackend else backend_cls()
+    backend = (
+        backend_cls(MACHINES, workers=2)
+        if backend_cls is ProcessBackend
+        else backend_cls(MACHINES)
+    )
     run_many(JOBS, backend=backend)
     assert backend.last_cache_stats["misses"] > 0
     with pytest.raises(RuntimeError, match="job blew up"):
@@ -221,7 +224,7 @@ def test_backend_cache_stats_reset_on_failure(backend_cls):
 def test_process_backend_matches_serial():
     jobs = JOBS * 2
     expected = run_many(jobs, backend="serial")
-    got = run_many(jobs, backend=ProcessBackend(workers=2, chunksize=4))
+    got = run_many(jobs, backend=ProcessBackend(MACHINES, workers=2, chunksize=4))
     assert got == expected
 
 

@@ -2,7 +2,12 @@
 fsync batching, and the JournaledBackend's exactly-once resume."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,7 @@ from repro.runtime.journal import (
 )
 from repro.runtime.workloads.machines import MACHINES
 
+REPO = Path(__file__).resolve().parent.parent
 JOBS = [(binary_increment(), "1" * (i + 1)) for i in range(6)] + [
     (palindrome_checker(), "abba"),
     (copier(), "101"),
@@ -230,6 +236,73 @@ def test_commit_every_slices_durably(tmp_path):
         assert backend.journal.fsyncs == 4
     finally:
         backend.close()
+
+
+def test_dispatch_summary_counts_only_this_calls_slices(tmp_path):
+    jobs = JOBS[:6]  # one machine, six tapes
+    backend = JournaledBackend("serial", journal_dir=tmp_path, commit_every=2)
+    try:
+        backend.execute(jobs, fuel=FUEL)
+        # Three slices, one serial chunk each, over one shared cache:
+        # the first job compiles, the other five reuse it.
+        summary = backend.last_dispatch
+        assert (summary["journal_commits"], summary["chunks"]) == (3, 3)
+        assert backend.last_cache_stats == {"hits": 5, "misses": 1, "size": 1}
+        # Served from the journal: two distinct jobs, nothing dispatched.
+        a, b = jobs[0], jobs[1]
+        assert backend.execute([a, a, b], fuel=FUEL) == [CLEAN[0], CLEAN[0], CLEAN[1]]
+        summary = backend.last_dispatch
+        assert summary["journal_hits"] == 3
+        assert (summary["unique_jobs"], summary["deduped"]) == (2, 1)
+        inner = [summary[k] for k in ("chunks", "steals", "payload_bytes", "memo_hits")]
+        assert inner == [0, 0, 0, 0]
+        assert backend.last_cache_stats == {"hits": 0, "misses": 0, "size": 0}
+    finally:
+        backend.close()
+
+
+# Journals two jobs of a machine with two accept states, whose frozenset
+# iterates in a different order under each of the hash seeds used below.
+RESUME_CHILD = textwrap.dedent(
+    """
+    import json
+    import sys
+    from repro.machines.turing import TuringMachine
+    from repro.runtime.journal import JournaledBackend
+
+    machine = TuringMachine.from_rules(
+        [("q0", "0", "even", "0", "R"), ("q0", "1", "odd", "1", "R")],
+        initial="q0",
+        accept=("even", "odd"),
+    )
+    backend = JournaledBackend("serial", journal_dir=sys.argv[1])
+    try:
+        backend.execute([(machine, "0"), (machine, "1")], fuel=100)
+    finally:
+        backend.close()
+    print(json.dumps(backend.last_dispatch))
+    """
+)
+
+
+def _journal_in_child(journal_dir, hash_seed):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=str(hash_seed))
+    proc = subprocess.run(
+        [sys.executable, "-c", RESUME_CHILD, str(journal_dir)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_resume_under_another_hash_seed_serves_every_job(tmp_path):
+    first = _journal_in_child(tmp_path, hash_seed=1)
+    assert (first["journal_hits"], first["journal_records"]) == (0, 4)
+    resumed = _journal_in_child(tmp_path, hash_seed=2)
+    assert (resumed["journal_hits"], resumed["journal_records"]) == (2, 0)
 
 
 def test_empty_batch(tmp_path):

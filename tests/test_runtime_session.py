@@ -364,20 +364,6 @@ def test_flush_span_wraps_execution():
     assert "scheduler.flush" in spans
 
 
-# -- the TM front door -------------------------------------------------------
-
-
-def test_open_session_tm_frontend_matches_run_many():
-    from repro.perf.batch import open_session as open_tm_session
-    from repro.perf.batch import run_many
-
-    jobs = _TM_POOL * 2
-    expected = run_many(jobs, fuel=FUEL)
-    with open_tm_session("serial") as tm:
-        got = tm.run_many(jobs, fuel=FUEL)
-    assert pickle.dumps(got) == pickle.dumps(expected)
-
-
 def test_concurrent_submitters_one_dispatcher():
     """Many submitting threads share one scheduler without corruption."""
     jobs = [(binary_increment(), "1" * (n % 6 + 1)) for n in range(30)]
