@@ -15,6 +15,11 @@ Acceptance gates:
 
 * full mode: at least one workload with >= 1e5 interpreter steps must
   show >= 5x speedup, or the script exits 1;
+* full mode: the block-compiled complang VM must run ``sweep_large``'s
+  loop template (about 1e5 steps) >= 5x faster than ``VM.run`` and a
+  loop whose body holds 120 ``if`` statements >= 2x faster, and the
+  compiled ``bb4`` run (about 1e2 steps) must be no slower than the
+  reference interpreter — the small-job floor;
 * every mode (PF2, smoke included): the warm-pool batch workload must
   beat the per-job reference interpreter by more than twice the old
   2.44x cold-dispatch baseline — the regression tripwire for payload
@@ -36,6 +41,9 @@ sys.path.insert(0, str(_HERE.parent / "src"))  # repro without installing
 
 from _common import Table, emit  # noqa: E402
 
+from repro.complang.compile import compile_program  # noqa: E402
+from repro.complang.parser import parse  # noqa: E402
+from repro.complang.vm import VM  # noqa: E402
 from repro.machines.automata import DFA  # noqa: E402
 from repro.machines.busybeaver import busy_beaver_machine  # noqa: E402
 from repro.machines.turing import (  # noqa: E402
@@ -45,6 +53,7 @@ from repro.machines.turing import (  # noqa: E402
 )
 from repro.perf.batch import run_many  # noqa: E402
 from repro.perf.engine import compile_dfa, compile_tm  # noqa: E402
+from repro.perf.vm_engine import compile_vm  # noqa: E402
 from repro.runtime import ProcessBackend, ResidentCache, SerialBackend  # noqa: E402
 from repro.runtime.workloads.machines import MACHINES  # noqa: E402
 from repro.util.timing import time_callable  # noqa: E402
@@ -57,6 +66,18 @@ REQUIRED_STEPS = 100_000
 # clear at least double that, and never less than the engine gate.
 COLD_BASELINE_SPEEDUP = 2.44
 WARM_REQUIRED_SPEEDUP = max(REQUIRED_SPEEDUP, 2 * COLD_BASELINE_SPEEDUP)
+# Rows gated by name at full sizes: the complang block engine on a
+# ~1e5-step loop and on a 120-if loop, and the small-job floor (a
+# ~1e2-step compiled bb4 run must not lose to the interpreter).
+ROW_REQUIRED_SPEEDUP = {"complang_loop": 5.0, "complang_branchy": 2.0, "bb4": 1.0}
+# Each timed repeat runs for at least this long, so ~10 us runs are
+# averaged over many calls rather than timed one call at a time.
+MIN_TIME = 0.02
+
+# perfbench's sweep_large complang template, with one fixed (a, b).
+LOOP_TEMPLATE = (
+    "s = {b}; i = 0; while i < n {{ s = (s * {a} + i) % 65521; i = i + 1; }} print s;"
+)
 
 
 def parity_dfa() -> DFA:
@@ -103,12 +124,63 @@ def measure_tm(workload: dict, *, repeats: int) -> dict:
     ref_result = machine.run(tape, fuel=fuel)
     fast_result = compiled.run(tape, fuel=fuel)
     assert fast_result == ref_result, f"{workload['name']}: compiled engine diverged"
-    ref_s = time_callable(lambda: machine.run(tape, fuel=fuel), repeats=repeats)
-    fast_s = time_callable(lambda: compiled.run(tape, fuel=fuel), repeats=repeats)
+    ref_s = time_callable(lambda: machine.run(tape, fuel=fuel), repeats=repeats, min_time=MIN_TIME)
+    fast_s = time_callable(lambda: compiled.run(tape, fuel=fuel), repeats=repeats, min_time=MIN_TIME)
     return {
         "name": workload["name"],
         "kind": "turing",
         "steps": ref_result.steps,
+        "reference_seconds": ref_s,
+        "compiled_seconds": fast_s,
+        "speedup": ref_s / fast_s,
+    }
+
+
+def branchy_loop(ifs: int) -> str:
+    """A loop whose body holds ``ifs`` one-armed ``if`` statements
+    (about two basic blocks each)."""
+    arms = " ".join(
+        f"if i % {k + 2} == {k % 3} {{ s = s + {k + 1}; }}" for k in range(ifs)
+    )
+    return f"s = 0; i = 0; while i < n {{ {arms} i = i + 1; }} print s;"
+
+
+def vm_workloads(smoke: bool) -> list[dict]:
+    scale = 20 if smoke else 1
+    return [
+        {
+            "name": "complang_loop",
+            "source": LOOP_TEMPLATE.format(a=271, b=42),
+            "env": {"n": 6_000 // scale},
+        },
+        {
+            "name": "complang_branchy",
+            "source": branchy_loop(120),
+            "env": {"n": 100 // scale},
+        },
+    ]
+
+
+def measure_vm(workload: dict, *, repeats: int) -> dict:
+    """``CompiledVM.run`` against ``VM.run`` on one prepared program:
+    both execute every step (no memo sits in front of either)."""
+    vm = VM(compile_program(parse(workload["source"])))
+    compiled = compile_vm(vm)
+    env, fuel = workload["env"], 1_000_000
+    ref_result = vm.run(env=env, fuel=fuel)
+    fast_result = compiled.run(env=env, fuel=fuel)
+    assert (fast_result.output, list(fast_result.env.items()), fast_result.steps) == (
+        ref_result.output,
+        list(ref_result.env.items()),
+        ref_result.steps,
+    ), f"{workload['name']}: compiled VM diverged"
+    ref_s = time_callable(lambda: vm.run(env=env, fuel=fuel), repeats=repeats, min_time=MIN_TIME)
+    fast_s = time_callable(lambda: compiled.run(env=env, fuel=fuel), repeats=repeats, min_time=MIN_TIME)
+    return {
+        "name": workload["name"],
+        "kind": "complang",
+        "steps": ref_result.steps,
+        "blocks": compiled.describe()["blocks"],
         "reference_seconds": ref_s,
         "compiled_seconds": fast_s,
         "speedup": ref_s / fast_s,
@@ -232,6 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     repeats = 1 if args.smoke else 3
 
     results = [measure_tm(w, repeats=repeats) for w in tm_workloads(args.smoke)]
+    results += [measure_vm(w, repeats=repeats) for w in vm_workloads(args.smoke)]
     results.append(measure_dfa(args.smoke, repeats=repeats))
     batch = measure_batch(args.smoke, repeats=repeats)
     batch_warm = measure_batch_warm(args.smoke, repeats=repeats)
@@ -240,6 +313,12 @@ def main(argv: list[str] | None = None) -> int:
     best = max(gated, key=lambda r: r["speedup"], default=None)
     accepted = best is not None and best["speedup"] >= REQUIRED_SPEEDUP
     warm_accepted = batch_warm["speedup"] >= WARM_REQUIRED_SPEEDUP
+    by_name = {r["name"]: r for r in results}
+    row_failures = [
+        f"{name} {by_name[name]['speedup']:.2f}x < {required}x"
+        for name, required in ROW_REQUIRED_SPEEDUP.items()
+        if by_name[name]["speedup"] < required
+    ]
 
     table = Table(
         ["workload", "steps/jobs", "reference s", "compiled s", "speedup"],
@@ -267,7 +346,9 @@ def main(argv: list[str] | None = None) -> int:
             "warm_required_speedup": WARM_REQUIRED_SPEEDUP,
             "warm_speedup": batch_warm["speedup"],
             "warm_passed": warm_accepted,
-            "passed": accepted and warm_accepted,
+            "row_required_speedups": ROW_REQUIRED_SPEEDUP,
+            "row_failures": row_failures,
+            "passed": accepted and warm_accepted and not row_failures,
         },
     }
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -292,11 +373,15 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
+    if row_failures:
+        print(f"FAIL: {'; '.join(row_failures)}", file=sys.stderr)
+        return 1
     print(
         f"PASS: {best['name']} ({best['steps']} steps) ran"
         f" {best['speedup']:.1f}x faster compiled;"
         f" warm batch {batch_warm['speedup']:.1f}x"
-        f" (>= {WARM_REQUIRED_SPEEDUP}x)"
+        f" (>= {WARM_REQUIRED_SPEEDUP}x); "
+        + ", ".join(f"{name} {by_name[name]['speedup']:.1f}x" for name in ROW_REQUIRED_SPEEDUP)
     )
     return 0
 

@@ -73,15 +73,22 @@ def brute_force_sat(formula: CNF) -> SatResult:
 
 
 def _simplify(clauses: list[tuple[int, ...]], literal: int) -> list[tuple[int, ...]] | None:
-    """Assign ``literal`` true; None signals an empty clause (conflict)."""
+    """Assign ``literal`` true; None signals an empty clause (conflict).
+
+    A clause that does not mention ``-literal`` is kept as the same
+    object: most clauses survive a step unchanged, and rebuilding each
+    one was most of the solver's time.
+    """
     out: list[tuple[int, ...]] = []
+    negated = -literal
     for clause in clauses:
         if literal in clause:
             continue  # clause satisfied
-        reduced = tuple(lit for lit in clause if lit != -literal)
-        if not reduced:
+        if negated in clause:
+            clause = tuple(lit for lit in clause if lit != negated)
+        if not clause:
             return None
-        out.append(reduced)
+        out.append(clause)
     return out
 
 

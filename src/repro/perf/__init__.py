@@ -8,6 +8,8 @@ integer tables (states and symbols interned to small ints, transitions
 flattened into flat lists, the tape a growable ``bytearray``) and runs
 a tight hot loop that is step-for-step equivalent to the reference —
 the equivalence is property-tested, which is what licenses the speed.
+:mod:`repro.perf.vm_engine` does the same for :mod:`repro.complang`
+bytecode, lowering a VM program's basic blocks into Python.
 
 :func:`~repro.perf.batch.run_many` executes batches of (machine, input)
 jobs through any :mod:`repro.runtime` backend (serial, a warm process

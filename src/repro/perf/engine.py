@@ -56,7 +56,7 @@ __all__ = [
 _MAX_SYMBOLS = 256
 
 # Minimum head-to-edge margin before a segment starts; below this the
-# tape doubles.  Also the initial padding on each side of the input.
+# tape doubles.  Also the cap on the initial padding of each side.
 _MIN_MARGIN = 4096
 
 
@@ -160,6 +160,14 @@ class CompiledTM:
     state_ids: dict[str, int] = field(repr=False, default_factory=dict)
     symbol_ids: dict[str, int] = field(repr=False, default_factory=dict)
     row_ids: dict[int, int] = field(repr=False, default_factory=dict)
+    # Per-machine ``str.translate`` tables, built once so a run never
+    # walks its input or the alphabet in Python: one-character symbol
+    # -> its id as a character, one-character symbol -> deleted, and
+    # id -> ASCII byte for ``_render`` (None unless every symbol is one
+    # ASCII character).
+    intern: dict[int, str] = field(repr=False, default_factory=dict)
+    known: dict[int, None] = field(repr=False, default_factory=dict)
+    render: bytes | None = field(repr=False, default=None)
 
     def __reduce__(self):
         # Rows are interlinked by object identity (row_ids is keyed by
@@ -199,26 +207,30 @@ class CompiledTM:
         """The uninstrumented hot loop; returns ``(result, tape_grows,
         macro_skips, macro_cells_skipped)`` — the diagnostics are
         tallied only on the rare grow/macro branches."""
-        symbol_ids = self.symbol_ids
+        if not isinstance(tape_input, str):  # a sequence of symbols
+            return self.source.run(tape_input, fuel=fuel), 0, 0, 0
         names = self.symbol_names
+        intern = self.intern
+        render = self.render
         # Input may contain symbols the transition table never mentions;
         # intern them at run time (the machine halts on reading one, but
         # they must survive onto the rendered tape).
-        extra = [c for c in dict.fromkeys(tape_input) if c not in symbol_ids]
-        if extra:
+        unknown = tape_input.translate(self.known)
+        if unknown:
+            extra = list(dict.fromkeys(unknown))
             if len(names) + len(extra) > _MAX_SYMBOLS:
                 return self.source.run(tape_input, fuel=fuel), 0, 0, 0
-            ids = dict(symbol_ids)
-            names = list(names)
-            for c in extra:
-                ids[c] = len(names)
-                names.append(c)
-        else:
-            ids = symbol_ids
+            intern = dict(intern)
+            intern.update((ord(c), chr(i)) for i, c in enumerate(extra, len(names)))
+            names = names + extra
+            render = _render_table(names)
 
-        pad = min(_MIN_MARGIN, max(16, fuel))
+        # The growth path below doubles the tape, so padding for the
+        # input's own length (not the fuel's) keeps growth amortised
+        # without zeroing and stripping thousands of cells per run.
+        pad = min(_MIN_MARGIN, max(16, min(len(tape_input), fuel)))
         tape = bytearray(pad)
-        tape.extend(ids[c] for c in tape_input)
+        tape += tape_input.translate(intern).encode("latin-1")
         tape.extend(bytes(pad))
         head = pad
         row = self.rows[self.initial_id]
@@ -286,25 +298,33 @@ class CompiledTM:
                 skipped_cells += k
         state = self.row_ids[id(row)]
         accepted = halted and self.accept_flags[state]
-        result = TMResult(halted, accepted, steps, _render(tape, names), self.state_names[state])
+        result = TMResult(
+            halted, accepted, steps, _render(tape, names, render), self.state_names[state]
+        )
         return result, grows, skips, skipped_cells
 
 
-def _render(tape: bytearray, names: list[str]) -> str:
+def _render(tape: bytearray, names: list[str], table: bytes | None) -> str:
     """Interned tape -> the same trimmed string the reference renders.
 
     The blank symbol interns to byte 0, so the reference's
     ``strip(BLANK)`` is a C-speed strip of zero bytes — done *first*,
-    because the tape carries up to ``fuel`` cells of padding that the
-    symbol-by-symbol decode must never scan.
+    because the tape carries padding that the symbol-by-symbol decode
+    must never scan.  ``table`` is :func:`_render_table` of ``names``.
     """
     core = tape.strip(b"\x00")
     if not core:
         return ""
-    if all(len(n) == 1 and ord(n) < 128 for n in names):
-        trans = bytes(ord(names[i]) if i < len(names) else 0 for i in range(256))
-        return core.translate(trans).decode("ascii")
+    if table is not None:
+        return core.translate(table).decode("ascii")
     return "".join(names[b] for b in core)
+
+
+def _render_table(names: list[str]) -> bytes | None:
+    """Symbol id -> ASCII byte, when every symbol is one ASCII character."""
+    if all(isinstance(n, str) and len(n) == 1 and ord(n) < 128 for n in names):
+        return bytes(ord(names[i]) if i < len(names) else 0 for i in range(256))
+    return None
 
 
 def tm_symbols(machine: TuringMachine) -> list[str]:
@@ -354,6 +374,7 @@ def compile_tm(machine: TuringMachine) -> CompiledTM:
                 MOVE_OFFSET[move],
             )
     accept_flags = [s in machine.accept_states for s in state_names]
+    chars = [(ord(c), i) for c, i in symbol_ids.items() if isinstance(c, str) and len(c) == 1]
     return CompiledTM(
         source=machine,
         state_names=state_names,
@@ -364,6 +385,9 @@ def compile_tm(machine: TuringMachine) -> CompiledTM:
         state_ids=state_ids,
         symbol_ids=symbol_ids,
         row_ids={id(row): i for i, row in enumerate(rows)},
+        intern={code: chr(i) for code, i in chars},
+        known=dict.fromkeys(code for code, _ in chars),
+        render=_render_table(symbol_names),
     )
 
 

@@ -5,11 +5,14 @@ strings — both are hashable, so either can serve as its own content
 key); inputs are initial environments, normalised by :func:`env_input`
 to sorted ``(name, value)`` tuples so jobs stay hashable for the
 runtime's memo and dedup.  ``prepare`` lowers the program once through
-:func:`repro.complang.compile.compile_program` into a reusable
-:class:`~repro.complang.vm.VM`; ``run_direct`` re-parses and
-re-compiles per job — exactly the naive loop subsystem code used to
-write, and the baseline the runtime's ≥2× warm-pool gate is measured
-against.
+:func:`repro.complang.compile.compile_program` and
+:func:`repro.perf.vm_engine.compile_vm` into a reusable
+:class:`~repro.perf.vm_engine.CompiledVM` (a program whose bytecode
+does not lower keeps its plain :class:`~repro.complang.vm.VM`);
+``run_direct`` re-parses, re-compiles and interprets per job — exactly
+the naive loop subsystem code used to write, the baseline the
+runtime's ≥2× warm-pool gate is measured against, and the oracle the
+compiled path must match.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Any
 from repro.complang.ast import Program
 from repro.complang.compile import compile_program
 from repro.complang.vm import VM, VMOutcome
+from repro.perf.vm_engine import CompiledVM, compile_vm
 from repro.runtime.workload import Job, WorkloadBase, register_workload
 
 __all__ = ["ComplangWorkload", "COMPLANG", "env_input", "complang_job"]
@@ -51,10 +55,14 @@ class ComplangWorkload(WorkloadBase):
     kind = "complang"
     result_type = VMOutcome
 
-    def prepare(self, program: Program | str) -> VM:
-        return VM(compile_program(_ast(program)))
+    def prepare(self, program: Program | str) -> CompiledVM | VM:
+        vm = VM(compile_program(_ast(program)))
+        try:
+            return compile_vm(vm)
+        except ValueError:  # bytecode the lowering refuses
+            return vm
 
-    def execute(self, resident: VM, input: EnvInput, fuel: int) -> VMOutcome:
+    def execute(self, resident: CompiledVM | VM, input: EnvInput, fuel: int) -> VMOutcome:
         return resident.run(env=dict(input), fuel=fuel)
 
     def run_direct(self, program: Program | str, input: EnvInput, fuel: int) -> VMOutcome:
