@@ -41,9 +41,8 @@ bench-runtime:
 	python benchmarks/bench_runtime_mixed.py
 
 # Ensemble census gate at tiny sizes: the lock-step numpy backend must
-# match the compiled per-machine path exactly, ship the sharded census
-# home with zero pickled result bytes (shared memory only), and keep a
-# relaxed warm-speedup floor.  The full 5x census gate is bench-ensemble.
+# match the compiled per-machine path exactly and keep a relaxed
+# warm-speedup floor.  The full 5x census gate is bench-ensemble.
 ensemble-smoke:
 	python benchmarks/bench_ensemble.py --smoke
 

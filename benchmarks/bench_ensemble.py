@@ -15,15 +15,11 @@ Acceptance gates:
 
 * **exactness, always**: the ensemble census (verdicts, sigma scores,
   step counts) must equal the compiled per-machine path result-for-
-  result, and the sharded ensemble-process census must be *byte-
-  identical* under pickling;
+  result;
 * **throughput**: at full size (a 10^4-machine family) the warm
   ensemble must beat the serial runtime baseline by >= 5x; smoke mode
   relaxes the ratio (tiny populations amortise less) but still fails
-  if lock-step stops winning at all;
-* **transport**: the ensemble-process shard must ship its census home
-  through shared memory — ``result_payload_bytes == 0`` pickled result
-  bytes, ``shm_bytes > 0`` — enforced in both modes.
+  if lock-step stops winning at all.
 
 The cold leg (a fresh backend per call, lowering included) also
 records the seconds its calls spend paused in the cyclic garbage
@@ -37,7 +33,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import pickle
 import platform
 import resource
 import sys
@@ -52,10 +47,7 @@ from _common import Table, emit  # noqa: E402
 
 from repro.machines.busybeaver import enumerate_machines  # noqa: E402
 from repro.runtime import run_jobs  # noqa: E402
-from repro.runtime.ensemble import (  # noqa: E402
-    EnsembleBackend,
-    EnsembleProcessBackend,
-)
+from repro.runtime.ensemble import EnsembleBackend  # noqa: E402
 from repro.runtime.workloads.busybeaver import BUSYBEAVER  # noqa: E402
 from repro.util.timing import time_callable  # noqa: E402
 
@@ -121,21 +113,6 @@ def measure(smoke: bool, repeats: int) -> dict:
     warm_s = time_callable(lambda: backend.execute(jobs, fuel=fuel), repeats=repeats)
     dispatch = dict(backend.last_dispatch)
 
-    proc = EnsembleProcessBackend(BUSYBEAVER)
-    try:
-        sharded = proc.execute(jobs, fuel=fuel)
-        assert pickle.dumps(sharded) == pickle.dumps(baseline), (
-            "sharded ensemble census not byte-identical to the serial runtime"
-        )
-        shard_dispatch = dict(proc.last_dispatch)
-    finally:
-        proc.close()
-    assert shard_dispatch["result_payload_bytes"] == 0, (
-        "census results crossed the process boundary pickled: "
-        f"{shard_dispatch['result_payload_bytes']} bytes"
-    )
-    assert shard_dispatch["shm_bytes"] > 0, "no shared-memory block was used"
-
     halted = sum(1 for r in baseline if r.halted)
     return {
         "population": len(jobs),
@@ -151,7 +128,6 @@ def measure(smoke: bool, repeats: int) -> dict:
         "warm_speedup": baseline_s / warm_s,
         "machines_per_second_warm": len(jobs) / warm_s,
         "dispatch": dispatch,
-        "shard_dispatch": shard_dispatch,
     }
 
 
@@ -176,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
 
     table = Table(
         ["population", "fuel", "halted", "baseline s", "cold s", "cold gc s",
-         "warm s", "cold speedup", "warm speedup", "shm bytes"],
+         "warm s", "cold speedup", "warm speedup"],
         caption="EN1: lock-step ensemble census vs the compiled per-machine"
         f" runtime ({'smoke' if args.smoke else 'full'} census)",
     )
@@ -184,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         r["population"], r["fuel"], r["halted"], r["baseline_seconds"],
         r["ensemble_cold_seconds"], r["ensemble_cold_gc_seconds"],
         r["ensemble_warm_seconds"], f"{r['cold_speedup']:.1f}x",
-        f"{r['warm_speedup']:.1f}x", r["shard_dispatch"]["shm_bytes"],
+        f"{r['warm_speedup']:.1f}x",
     )
     emit("EN1", table)
 
@@ -198,7 +174,6 @@ def main(argv: list[str] | None = None) -> int:
             "required_warm_speedup": required,
             "warm_speedup": r["warm_speedup"],
             "exact_equal": True,           # asserted above, fatal otherwise
-            "shm_zero_pickled_results": True,
             "passed": passed,
         },
     }
@@ -218,8 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         f" cold {r['cold_speedup']:.1f}x"
         f" ({r['ensemble_cold_gc_seconds']:.3f} s/call in GC,"
         f" peak RSS {r['ensemble_cold_peak_rss_mb']:.0f} MB),"
-        f" {r['machines_per_second_warm']:,.0f} machines/s,"
-        f" shm census with 0 pickled result bytes"
+        f" {r['machines_per_second_warm']:,.0f} machines/s"
     )
     return 0
 

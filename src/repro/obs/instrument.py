@@ -85,11 +85,10 @@ KNOWN_METRICS: dict[str, tuple[str, str]] = {
     "runtime_flush_total": ("counter", "scheduler flushes, labelled by reason"),
     "runtime_queue_age_seconds": ("histogram", "submit-to-dispatch wait, labelled by priority"),
     # ensemble (lock-step population execution, labelled {backend=...})
-    "ensemble_batches_total": ("counter", "ensemble execute/shard batches run"),
+    "ensemble_batches_total": ("counter", "ensemble execute batches run"),
     "ensemble_machines_total": ("counter", "jobs answered by lock-step families"),
     "ensemble_lock_steps_total": ("counter", "lock-step iterations across families"),
     "ensemble_fallback_jobs_total": ("counter", "jobs routed to the per-machine fallback"),
-    "ensemble_shm_bytes_total": ("counter", "result bytes moved via shared memory"),
     # engine internals (per compiled run)
     "engine_macro_cells_total": ("counter", "tape cells crossed by macro-stepped scans"),
     "engine_tape_grows_total": ("counter", "tape window extensions during compiled runs"),

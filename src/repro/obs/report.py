@@ -176,13 +176,11 @@ def render(snapshot: Mapping, *, postmortems: list[dict] | None = None) -> str:
     steals = _total(snapshot, "batch_steal_total")
     payload = _total(snapshot, "batch_payload_bytes")
     warm = _total(snapshot, "batch_warm_hits")
-    shm = _total(snapshot, "ensemble_shm_bytes_total")
-    if steals or payload or warm or shm:
+    if steals or payload or warm:
         lines.append("")
         lines.append("-- dispatch --")
         lines.append(
-            f"steals={_fmt(steals)} payload_bytes={_fmt(payload)}"
-            f" warm_hits={_fmt(warm)} shm_bytes={_fmt(shm)}"
+            f"steals={_fmt(steals)} payload_bytes={_fmt(payload)} warm_hits={_fmt(warm)}"
         )
 
     # -- journal (durable sweeps) -------------------------------------------

@@ -1,9 +1,9 @@
 """Cross-process telemetry: trace propagation and piggybacked deltas.
 
-Since the runtime moved its hot path onto warm worker pools and
-ensemble shards, a worker's counters, spans and flight events died with
-the child process: the parent's registry showed dispatch accounting,
-but the *execution* story — cache hits inside the chunk, the engine's
+Since the runtime moved its hot path onto warm worker pools, a
+worker's counters, spans and flight events died with the child
+process: the parent's registry showed dispatch accounting, but the
+*execution* story — cache hits inside the chunk, the engine's
 step counters, the worker's own span — was invisible.  This module
 closes that gap without a single extra IPC message:
 
@@ -20,9 +20,9 @@ closes that gap without a single extra IPC message:
   spans + flight entries) under :data:`TELEMETRY_KEY` *inside the chunk
   payload's stats dict*.  The payload keeps its
   ``(results, stats, elapsed)`` shape, so
-  :func:`~repro.faults.chaos.valid_payload`, the supervisor's settle
-  path and the shared-memory transport all compose unchanged — the
-  delta piggybacks on bytes that were crossing the boundary anyway.
+  :func:`~repro.faults.chaos.valid_payload` and the supervisor's
+  settle path compose unchanged — the delta piggybacks on bytes that
+  were crossing the boundary anyway.
 * :func:`absorb_chunk_telemetry` — the parent side.  Whoever consumes
   a chunk future pops the delta and merges it: counters add into the
   parent registry (:meth:`~repro.obs.metrics.MetricsRegistry.merge`),

@@ -43,7 +43,6 @@ __all__ = [
     "Backend",
     "EnsembleBackend",
     "EnsembleCapable",
-    "EnsembleProcessBackend",
     "Job",
     "JobFuture",
     "Journal",
@@ -70,9 +69,7 @@ __all__ = [
 # recovery scanner; resolve both sets of exports lazily so `import
 # repro.runtime` stays as cheap as the workload registry's lazy
 # imports promise.
-_ENSEMBLE_EXPORTS = frozenset(
-    {"EnsembleBackend", "EnsembleCapable", "EnsembleProcessBackend"}
-)
+_ENSEMBLE_EXPORTS = frozenset({"EnsembleBackend", "EnsembleCapable"})
 _JOURNAL_EXPORTS = frozenset({"Journal", "JournaledBackend"})
 _SESSION_EXPORTS = frozenset({"JobFuture", "Scheduler", "Session", "open_session"})
 

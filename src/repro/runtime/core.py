@@ -41,16 +41,23 @@ series are emitted by :func:`run_jobs` on top.
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from collections import OrderedDict, deque
 from collections.abc import Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Any, Protocol
 
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import current_context, run_captured
-from repro.runtime.lifecycle import ChunkSettler, PoolLifecycle, enter_close, plan_chunks
+from repro.runtime.lifecycle import (
+    ChunkSettler,
+    close_when_collected,
+    enter_close,
+    mark_open,
+    plan_chunks,
+)
 from repro.runtime.workload import Job, Workload, get_workload
 
 __all__ = [
@@ -875,7 +882,7 @@ class Coordinator:
         return chunks, steals, payload_bytes
 
 
-class ProcessBackend(PoolLifecycle, Coordinator):
+class ProcessBackend(Coordinator):
     """The coordinator over a persistent local ``concurrent.futures`` pool.
 
     One lane, ``workers`` chunks in flight.  The pool — and every
@@ -912,7 +919,12 @@ class ProcessBackend(PoolLifecycle, Coordinator):
         *,
         memo_size: int = 4096,
     ) -> None:
-        PoolLifecycle.__init__(self, workers)
+        self.workers = (os.cpu_count() or 1) if workers is None else workers
+        if self.workers < 1:
+            raise ValueError("need at least one worker")
+        self.generation = 0
+        self._pool: ProcessPoolExecutor | None = None
+        self._owner_pid = os.getpid()
         Coordinator.__init__(
             self,
             workload,
@@ -925,23 +937,52 @@ class ProcessBackend(PoolLifecycle, Coordinator):
 
     # -- the local pool transport ---------------------------------------------
 
-    def _pool_initializer(self) -> tuple[Any, tuple]:
-        # Every registered program is seeded.  Under a forking start
-        # method the seeds transfer to workers by memory inheritance —
-        # zero pickles; under spawn they are pickled once per worker.
-        # A dropped pool's set lingers until the next build replaces
-        # it; no payload is built before that build.
-        seeds = [(pid, program) for pid, (_, program, _) in self._known.items()]
-        self._seeded = [{pid for pid, _ in seeds}]
-        return _worker_warm, (self.generation, seeds)
-
     def _open(self) -> None:
-        self._ensure_pool()
+        if self._pool is not None and os.getpid() != self._owner_pid:
+            # Fork-unsafe state: this object was copied into a child
+            # process.  The pool's queues and worker processes belong
+            # to the parent — drop the reference (never shut the
+            # parent's workers down from here) and rebuild.
+            self._pool = None
+        if self._pool is None:
+            self.generation += 1
+            # Every registered program is seeded.  Under a forking start
+            # method the seeds transfer to workers by memory inheritance —
+            # zero pickles; under spawn they are pickled once per worker.
+            # A dropped pool's set lingers until the next build replaces
+            # it; no payload is built before that build.
+            seeds = [(pid, program) for pid, (_, program, _) in self._known.items()]
+            self._seeded = [{pid for pid, _ in seeds}]
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_worker_warm,
+                initargs=(self.generation, seeds),
+            )
+            self._owner_pid = os.getpid()
+            mark_open(self)
+
+    def recover(self) -> None:
+        """Discard the pool — broken or not — so the next submit starts
+        a fresh one under a new generation.  This is the restart step
+        after a worker crash surfaces as
+        :class:`~concurrent.futures.process.BrokenProcessPool`."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+
+    def close(self) -> None:
+        if not enter_close(self):
+            return
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+    __del__ = close_when_collected
 
     def _reseed(self, lanes: set[int]) -> None:
         if self._pool is not None and lanes:
             self.close()  # rebuild below so the new programs are seeded
-        self._ensure_pool()
+        self._open()
 
     def _submit_entries(
         self,
@@ -990,12 +1031,6 @@ def _ensemble_backend(workload: Workload, **kwargs):
     return EnsembleBackend(workload, **kwargs)
 
 
-def _ensemble_process_backend(workload: Workload, **kwargs):
-    from repro.runtime.ensemble import EnsembleProcessBackend
-
-    return EnsembleProcessBackend(workload, **kwargs)
-
-
 def _journaled_backend(workload: Workload, **kwargs):
     # Late import: the journal layer is only paid for when asked for.
     from repro.runtime.journal import JournaledBackend
@@ -1016,7 +1051,6 @@ BACKENDS = {
     "process": ProcessBackend,
     "supervised": _supervised_backend,
     "ensemble": _ensemble_backend,
-    "ensemble_process": _ensemble_process_backend,
     "journaled": _journaled_backend,
     "dist": _dist_backend,
 }
@@ -1093,7 +1127,7 @@ def create_backend(
     wrapper (one of :data:`WRAPPER_BACKENDS` — they accept ``inner=``)
     and the last segment any registered leaf, so
     ``"journaled:supervised:process"``, ``"journaled:dist"`` and
-    ``"journaled:ensemble_process"`` all compose the same way.  The
+    ``"journaled:ensemble"`` all compose the same way.  The
     chain is validated up front — an unknown prefix, a non-wrapper
     prefix, or an unknown leaf each fail with an error naming the
     offending segment — then the head factory is called with ``inner=``

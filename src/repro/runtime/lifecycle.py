@@ -8,14 +8,12 @@ chunk state machine with small local variations:
   private copy of the static split (size-targeted slices, trailing
   1-job chunk merged into its predecessor);
 * **settling** — :class:`~repro.runtime.core.ProcessBackend`,
-  :class:`~repro.comm.dist.DistBackend`,
-  :class:`~repro.runtime.ensemble.EnsembleProcessBackend` and the
-  supervisor's event loop each repeated the absorb-telemetry /
-  aggregate-cache-stats / record-chunk-latency dance over the standard
+  :class:`~repro.comm.dist.DistBackend` and the supervisor's event
+  loop each repeated the absorb-telemetry / aggregate-cache-stats /
+  record-chunk-latency dance over the standard
   ``(results, stats, elapsed)`` payload;
 * **closing** — six backends each guarded double-``close()`` with
-  their own private state (or not at all), and the two pool backends
-  each kept their own fork guard, generation counter and restart.
+  their own private state (or not at all).
 
 This module is that state machine extracted once.  The session
 scheduler (:mod:`repro.runtime.session`) drives the same pieces for
@@ -27,8 +25,7 @@ thing whether it was born from a one-shot ``execute()`` or a stream of
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -38,7 +35,6 @@ from repro.obs.telemetry import absorb_chunk_telemetry
 __all__ = [
     "ChunkPlan",
     "ChunkSettler",
-    "PoolLifecycle",
     "chunk_offsets",
     "close_when_collected",
     "plan_chunks",
@@ -126,26 +122,16 @@ class ChunkSettler:
     ``"max"`` (the pool backends: workers hold disjoint resident
     tables, the high-water mark is the honest summary) or ``"sum"``
     (the supervisor's historical aggregation, preserved exactly).
-    ``extra_keys`` widens the aggregate for backends whose stats carry
-    more than hits/misses/size (the ensemble's lock-step counters).
     """
 
     __slots__ = ("backend", "size_mode", "aggregate", "settled")
 
-    def __init__(
-        self,
-        backend: str,
-        *,
-        size_mode: str = "max",
-        extra_keys: Sequence[str] = (),
-    ) -> None:
+    def __init__(self, backend: str, *, size_mode: str = "max") -> None:
         if size_mode not in ("max", "sum"):
             raise ValueError("size_mode must be 'max' or 'sum'")
         self.backend = backend
         self.size_mode = size_mode
         self.aggregate: dict[str, int] = {"hits": 0, "misses": 0, "size": 0}
-        for key in extra_keys:
-            self.aggregate.setdefault(key, 0)
         self.settled = 0
 
     def settle(self, payload: tuple) -> list[Any]:
@@ -185,7 +171,7 @@ def enter_close(backend: Any) -> bool:
     Backends open their ``close()`` with ``if not enter_close(self):
     return`` so a double close is a no-op by construction rather than
     by each backend's private state happening to tolerate it.  Reopen
-    points (``_ensure_pool``, the dist backend's ``_open``, …) call
+    points (the process and dist backends' ``_open``) call
     :func:`mark_open` so the close-execute-close lifecycle still works
     for backends that rebuild lazily.
     """
@@ -215,61 +201,3 @@ def mark_open(backend: Any) -> None:
         setattr(backend, _CLOSED_FLAG, False)
     except AttributeError:  # pragma: no cover - __slots__ backends opt out
         pass
-
-
-class PoolLifecycle:
-    """One persistent ``ProcessPoolExecutor``, owned by one backend.
-
-    Built lazily under a bumped ``generation``; ``recover()`` discards
-    it, broken or not; ``close()`` is idempotent; the next use after
-    either rebuilds.  Subclasses warm workers via
-    :meth:`_pool_initializer`.
-    """
-
-    def __init__(self, workers: int | None) -> None:
-        self.workers = workers or os.cpu_count() or 1
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
-        self.generation = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._owner_pid = os.getpid()
-
-    def _pool_initializer(self) -> tuple[Callable[..., None] | None, tuple]:
-        """``(initializer, initargs)`` for the pool about to be built;
-        ``self.generation`` already names its incarnation."""
-        return None, ()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is not None and os.getpid() != self._owner_pid:
-            # Fork-unsafe state: this object was copied into a child
-            # process.  The pool's queues and worker processes belong
-            # to the parent — drop the reference (never shut the
-            # parent's workers down from here) and rebuild.
-            self._pool = None
-        if self._pool is None:
-            self.generation += 1
-            initializer, initargs = self._pool_initializer()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=initializer, initargs=initargs
-            )
-            self._owner_pid = os.getpid()
-            mark_open(self)
-        return self._pool
-
-    def recover(self) -> None:
-        """Discard the pool — broken or not — so the next submit starts
-        a fresh one under a new generation.  This is the restart step
-        after a worker crash surfaces as
-        :class:`~concurrent.futures.process.BrokenProcessPool`."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        if not enter_close(self):
-            return
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    __del__ = close_when_collected

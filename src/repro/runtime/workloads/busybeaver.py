@@ -41,13 +41,11 @@ def _score_of(result: TMResult) -> BBScore:
 class BusyBeaverWorkload(WorkloadBase):
     """(TuringMachine, tape) jobs scored as :class:`BBScore`.
 
-    The adapter is :class:`~repro.runtime.ensemble.EnsembleCapable` and
-    the ideal case for it: a score is three fixed-width numbers, so an
-    ensemble shard ships a whole census home as flat arrays through
-    shared memory — zero result objects pickled.  ``tolist()`` in the
-    hooks matters: it yields Python ``int``/``bool`` (not numpy
-    scalars), keeping results byte-identical to the per-machine path
-    under pickling.
+    The adapter is :class:`~repro.runtime.ensemble.EnsembleCapable`: a
+    whole census scores in one lock-step family.  ``tolist()`` in
+    ``ensemble_results`` matters: it yields Python ``int``/``bool``
+    (not numpy scalars), keeping results byte-identical to the
+    per-machine path under pickling.
     """
 
     kind = "busybeaver"
@@ -80,26 +78,6 @@ class BusyBeaverWorkload(WorkloadBase):
                 outcome.count_symbol("1").tolist(),
                 outcome.steps.tolist(),
                 outcome.halted.tolist(),
-            )
-        ]
-
-    def ensemble_fields(self) -> tuple[tuple[str, str], ...]:
-        return (("ones", "<i8"), ("steps", "<i8"), ("halted", "|b1"))
-
-    def ensemble_pack(self, outcome) -> dict[str, Any]:
-        return {
-            "ones": outcome.count_symbol("1"),
-            "steps": outcome.steps,
-            "halted": outcome.halted,
-        }
-
-    def ensemble_unpack(self, arrays: dict[str, Any]) -> list[BBScore]:
-        return [
-            BBScore(ones=o, steps=s, halted=h)
-            for o, s, h in zip(
-                arrays["ones"].tolist(),
-                arrays["steps"].tolist(),
-                arrays["halted"].tolist(),
             )
         ]
 

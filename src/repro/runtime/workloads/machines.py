@@ -49,11 +49,6 @@ class MachineWorkload(WorkloadBase):
         return result.steps
 
     # -- EnsembleCapable -----------------------------------------------------
-    # Full TMResults carry rendered tapes (variable width), so there is
-    # no fixed-width shm schema: ``ensemble_fields() is None`` keeps
-    # the process backend on the pickled result channel for this
-    # adapter, while the in-process ensemble still lock-steps the
-    # family.
 
     def ensemble_program(self, program: TuringMachine) -> TuringMachine:
         return program
@@ -75,15 +70,6 @@ class MachineWorkload(WorkloadBase):
                 )
             )
         ]
-
-    def ensemble_fields(self) -> None:
-        return None
-
-    def ensemble_pack(self, outcome):  # pragma: no cover - no schema
-        raise NotImplementedError("machines results have no fixed-width schema")
-
-    def ensemble_unpack(self, arrays):  # pragma: no cover - no schema
-        raise NotImplementedError("machines results have no fixed-width schema")
 
 
 class EncodedMachineWorkload(WorkloadBase):

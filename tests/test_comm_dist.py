@@ -8,7 +8,7 @@ The load-bearing properties of multi-node sharded execution:
   — nothing lost, nothing duplicated — through both the backend's own
   chaos seam and the ``ChaosBackend``/``SupervisedBackend`` stack;
 * composite backend names compose generically (``"journaled:dist"``,
-  ``"journaled:ensemble_process"``) and broken chains fail up front
+  ``"journaled:ensemble"``) and broken chains fail up front
   with an error naming the offending segment.
 
 Most tests run the ``single_node`` loopback topology — real sockets
@@ -298,12 +298,14 @@ def test_supervised_dist_composes_by_name():
         backend.close()
 
 
-def test_journaled_ensemble_process_composes_by_name(tmp_path):
-    backend = create_backend(
-        "journaled:ensemble_process", workload="machines", journal_dir=tmp_path
-    )
+def test_journaled_ensemble_composes_by_name(tmp_path):
+    jobs = _TM_POOL
+    backend = create_backend("journaled:ensemble", workload="machines", journal_dir=tmp_path)
     try:
-        assert backend.inner.name == "ensemble_process"
+        assert backend.inner.name == "ensemble"
+        assert run_jobs(MACHINES, jobs, fuel=FUEL, backend=backend) == run_jobs(
+            MACHINES, jobs, fuel=FUEL
+        )
     finally:
         backend.close()
 

@@ -148,6 +148,26 @@ def test_render_comm_section():
     assert "node=1  chunks=1 share=25%" in text
 
 
+def test_render_dispatch_section():
+    snapshot = {
+        "batch_steal_total": {
+            "kind": "counter",
+            "series": [{"labels": {"backend": "process"}, "value": 3}],
+        },
+        "batch_payload_bytes": {
+            "kind": "counter",
+            "series": [{"labels": {"backend": "process"}, "value": 4096}],
+        },
+        "batch_warm_hits": {
+            "kind": "counter",
+            "series": [{"labels": {"backend": "process"}, "value": 7}],
+        },
+    }
+    lines = render(snapshot).splitlines()
+    at = lines.index("-- dispatch --")
+    assert lines[at + 1] == "steals=3 payload_bytes=4096 warm_hits=7"
+
+
 def test_dist_sweep_emits_comm_metrics_into_the_report():
     """End to end: an observed loopback dist sweep produces a report
     with a comm section driven by real per-node counters."""

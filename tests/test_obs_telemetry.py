@@ -216,20 +216,6 @@ def test_process_backend_merges_worker_spans_and_utilisation():
                 assert span.parent_id in by_id  # grafted, not orphaned
 
 
-def test_ensemble_process_backend_merges_telemetry():
-    jobs = _jobs(8)
-    with observed() as obs:
-        backend = create_backend("ensemble_process", workload="machines", workers=2)
-        try:
-            run_jobs("machines", jobs, fuel=2_000, backend=backend)
-        finally:
-            backend.close()
-        snap = obs.registry.snapshot()
-        assert "runtime_worker_chunks_total" in snap
-        assert "batch_queue_depth" in snap
-        assert any(s.name == "worker.chunk" for s in obs.tracer.finished)
-
-
 def test_disabled_path_payloads_are_byte_identical():
     """With OBS off the chunk payload carries no context and no delta —
     the wire format matches a build without the telemetry module."""

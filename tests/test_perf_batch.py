@@ -110,8 +110,9 @@ def test_backend_factory():
 
 
 def test_process_backend_rejects_zero_workers():
-    with pytest.raises(ValueError):
-        ProcessBackend(MACHINES, workers=-1)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="need at least one worker"):
+            ProcessBackend(MACHINES, workers=workers)
 
 
 def test_process_backend_chunking():

@@ -395,7 +395,6 @@ CLOSE_SPECS = [
     pytest.param("process", {"workers": 2}, id="process"),
     pytest.param("supervised", {"inner": "serial"}, id="supervised"),
     pytest.param("ensemble", {}, id="ensemble"),
-    pytest.param("ensemble_process", {"workers": 2}, id="ensemble_process"),
     pytest.param("journaled:serial", {}, id="journaled"),
     pytest.param(
         "dist",

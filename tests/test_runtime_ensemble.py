@@ -1,6 +1,6 @@
-"""Tests for the ensemble backends: lock-step exactness against the
-per-machine reference, content interning, shared-memory result
-transport, fault recovery, and the deterministic machine enumerator."""
+"""Tests for the ensemble backend: lock-step exactness against the
+per-machine reference, content interning, fault recovery, and the
+deterministic machine enumerator."""
 
 import gc
 import pickle
@@ -33,7 +33,7 @@ from repro.perf.ensemble_engine import (
     run_family,
 )
 from repro.runtime import run_jobs
-from repro.runtime.ensemble import EnsembleBackend, EnsembleProcessBackend
+from repro.runtime.ensemble import EnsembleBackend
 from repro.runtime.workloads.busybeaver import BUSYBEAVER
 from repro.runtime.workloads.machines import MACHINES
 
@@ -378,56 +378,16 @@ def test_compile_family_caps():
     )
 
 
-# -- shared-memory transport -------------------------------------------------
-
-
-def test_process_shards_byte_identical_with_zero_pickled_results():
-    """The census comes home through shared memory: results are
-    byte-identical to the serial ensemble and the pickle channel
-    carries zero result payload."""
-    jobs = family_jobs(3, 90, seed=10)
-    serial = run_jobs("busybeaver", jobs, fuel=FUEL, backend="serial")
-    backend = EnsembleProcessBackend(BUSYBEAVER)
-    try:
-        got = backend.execute(jobs, fuel=FUEL)
-        assert pickle.dumps(got) == pickle.dumps(serial)
-        dispatch = backend.last_dispatch
-        assert dispatch["result_payload_bytes"] == 0
-        assert dispatch["shm_bytes"] > 0
-        assert dispatch["ensemble_jobs"] == 90
-        # Duplicates are interned before sharding and share one object.
-        dup = backend.execute(jobs + [jobs[3]], fuel=FUEL)
-        assert dup[-1] is dup[3]
-        assert backend.last_dispatch["deduped"] == 1
-    finally:
-        backend.close()
-
-
-def test_process_shards_without_schema_pickle_results():
-    """The machines adapter declares no fixed-width schema, so its
-    results travel pickled — and the accounting says so."""
-    jobs = family_jobs(2, 40, seed=12)
-    serial = run_jobs("machines", jobs, fuel=FUEL, backend="serial")
-    backend = EnsembleProcessBackend(MACHINES)
-    try:
-        got = backend.execute(jobs, fuel=FUEL)
-        assert got == serial
-        assert backend.last_dispatch["shm_bytes"] == 0
-        assert backend.last_dispatch["result_payload_bytes"] > 0
-    finally:
-        backend.close()
-
-
 # -- supervision and fault recovery ------------------------------------------
 
 
-def test_supervised_ensemble_process_survives_crashes():
-    """A killed shard recovers through SupervisedBackend: the pool
-    restarts and the census is unchanged."""
+def test_supervised_ensemble_survives_crashes():
+    """A crashed chunk recovers through SupervisedBackend: it is retried
+    after a restart and the census is unchanged."""
     jobs = family_jobs(3, 60, seed=13)
     expected = run_jobs("busybeaver", jobs, fuel=FUEL, backend="ensemble")
     inner = ChaosBackend(
-        EnsembleProcessBackend(BUSYBEAVER),
+        EnsembleBackend(BUSYBEAVER),
         schedule=ChaosSchedule(kinds={0: "crash"}),
     )
     backend = SupervisedBackend(
