@@ -54,7 +54,7 @@ from repro.machines.turing import (  # noqa: E402
 from repro.perf.batch import run_many  # noqa: E402
 from repro.perf.engine import compile_dfa, compile_tm  # noqa: E402
 from repro.perf.vm_engine import compile_vm  # noqa: E402
-from repro.runtime import ProcessBackend, ResidentCache, SerialBackend  # noqa: E402
+from repro.runtime import ProcessBackend, SerialBackend  # noqa: E402
 from repro.runtime.workloads.machines import MACHINES  # noqa: E402
 from repro.util.timing import time_callable  # noqa: E402
 
@@ -214,8 +214,8 @@ def measure_batch(smoke: bool, *, repeats: int) -> dict:
     assert run_many(jobs, fuel=fuel) == run_many(jobs, fuel=fuel, compiled=False)
     ref_s = time_callable(lambda: run_many(jobs, fuel=fuel, compiled=False), repeats=repeats)
     fast_s = time_callable(lambda: run_many(jobs, fuel=fuel), repeats=repeats)
-    cache = ResidentCache(MACHINES)
-    run_many(jobs, fuel=fuel, cache=cache)
+    backend = SerialBackend(MACHINES)
+    run_many(jobs, fuel=fuel, backend=backend)
     return {
         "name": "batch_palindrome+copier",
         "kind": "batch",
@@ -223,7 +223,7 @@ def measure_batch(smoke: bool, *, repeats: int) -> dict:
         "reference_seconds": ref_s,
         "compiled_seconds": fast_s,
         "speedup": ref_s / fast_s,
-        "cache": cache.stats(),
+        "cache": backend.last_cache_stats,
     }
 
 

@@ -37,10 +37,8 @@ for deadlines/hedging/quarantine on top of node restarts.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
-import pickle
 import threading
 from collections import Counter
 from collections.abc import Sequence
@@ -53,6 +51,7 @@ from repro.obs.telemetry import current_context
 from repro.runtime.core import Coordinator
 from repro.runtime.lifecycle import close_when_collected, enter_close, mark_open
 from repro.runtime.workload import Workload
+from repro.util.framing import key_digest
 
 __all__ = ["DistBackend"]
 
@@ -146,12 +145,12 @@ class DistBackend(Coordinator):
     def _place(self, key: Any) -> int:
         """The home node of a program: its resident-table slice.
 
-        Hashed from the program's *content key* (protocol-pinned
-        pickle, like ``journal_key``), so the placement is stable
-        across processes and runs — the sharding diagram in DESIGN.md.
+        Hashed from the program's *content key* by
+        :func:`~repro.util.framing.key_digest`, like ``journal_key``,
+        so the placement is stable across processes and runs — the
+        sharding diagram in DESIGN.md.
         """
-        digest = hashlib.sha1(pickle.dumps(key, protocol=4)).digest()
-        return int.from_bytes(digest[:8], "big") % self.nodes
+        return int.from_bytes(key_digest(key)[:8], "big") % self.nodes
 
     def _shard(self, nodes: Sequence[int]) -> None:
         """Start a new generation on each node, seeded with its table

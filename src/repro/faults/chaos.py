@@ -55,7 +55,7 @@ from concurrent.futures import Future
 from repro.faults.injection import FaultSchedule
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import absorb_chunk_telemetry
-from repro.runtime.core import _ZERO_STATS, ResidentCache
+from repro.runtime.core import _ZERO_STATS
 from repro.runtime.workload import Job, Workload
 from repro.runtime.workloads.machines import MACHINES
 
@@ -284,14 +284,7 @@ class ChaosBackend:
         chunker = getattr(self.inner, "_chunks", None)
         return chunker(jobs) if chunker is not None else [tuple(jobs)]
 
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        *,
-        fuel: int,
-        compiled: bool,
-        cache: ResidentCache | None = None,
-    ) -> list:
+    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool) -> list:
         self.last_cache_stats = dict(_ZERO_STATS)
         self.last_dispatch = {}
         if not jobs:
@@ -326,6 +319,4 @@ class ChaosBackend:
             "memo_hits": 0,
             "injected": sum(self.injected.values()) - injected_before,
         }
-        if cache is not None:
-            cache.absorb(aggregate)
         return out

@@ -61,12 +61,7 @@ from repro.faults.chaos import ChunkCorruption, ChunkTimeout, WorkerCrash, valid
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import job_digest
 from repro.runtime import core as _core
-from repro.runtime.core import (
-    ResidentCache,
-    _record_cache_metrics,
-    _ZERO_STATS,
-    intern_jobs,
-)
+from repro.runtime.core import _record_cache_metrics, _ZERO_STATS, intern_jobs
 from repro.runtime import lifecycle as _lifecycle
 from repro.runtime.lifecycle import ChunkSettler, enter_close, plan_chunks
 from repro.runtime.workload import Job, Workload, get_workload
@@ -180,10 +175,7 @@ class _Supervision:
         self.fuel = fuel
         self.compiled = compiled
         self.report = SupervisionReport()
-        # The supervisor's historical aggregation sums per-chunk cache
-        # sizes (chunks run on a fresh cache each); the shared settler
-        # keeps that exact behaviour under size_mode="sum".
-        self.settler = ChunkSettler(backend.name, size_mode="sum")
+        self.settler = ChunkSettler(backend.name)
         self.aggregate = self.settler.aggregate
         self.out: list[Any] = []
         self.pending: dict[Future, _Task] = {}
@@ -521,14 +513,7 @@ class SupervisedBackend:
         ):
             yield plan.offset, plan.jobs
 
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        *,
-        fuel: int,
-        compiled: bool = True,
-        cache: ResidentCache | None = None,
-    ) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool = True) -> list[Any]:
         self.last_cache_stats = dict(_ZERO_STATS)
         self.last_report = SupervisionReport(jobs=len(jobs))
         self.last_dispatch = {}
@@ -583,8 +568,6 @@ class SupervisedBackend:
                 close = getattr(run.active, "close", None)
                 if close is not None:
                     close()
-        if cache is not None:
-            cache.absorb(run.aggregate)
         if OBS.enabled:
             _record_cache_metrics(
                 self.name, run.aggregate["hits"], run.aggregate["misses"]

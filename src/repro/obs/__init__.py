@@ -23,10 +23,11 @@ definition of computational thinking; this package is that layer:
   merged snapshot into the operator-facing summary behind
   ``make obs-report``.
 
-The package is dependency-free: it imports nothing outside the
-standard library and nothing from the rest of ``repro``, so every
-subsystem may depend on it without cycles (the report demo imports the
-runtime lazily, inside its CLI entry point only).
+From the rest of ``repro`` the package imports only
+:mod:`repro.util.framing` (for the shared content digest), which
+imports nothing else of ``repro``, so every subsystem may depend on it
+without cycles (the report demo imports the runtime lazily, inside its
+CLI entry point only).
 """
 
 from repro.obs.flight import FlightRecorder

@@ -38,10 +38,9 @@ property-tested in ``tests/test_obs_telemetry.py``.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
-from collections.abc import Callable, MutableMapping, Sequence
+from collections.abc import Callable, MutableMapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
@@ -50,6 +49,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.instrument import OBS, Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.util.framing import key_digest
 
 __all__ = [
     "TELEMETRY_KEY",
@@ -103,12 +103,11 @@ def job_digest(workload: Any, job: Any) -> str:
 
     Content keys are arbitrary tuples (machine tables, tapes, CNF
     clauses); post-mortems and span attributes want a fixed-width,
-    JSON-safe token for them.  ``repr`` of the content key is stable
-    for the repo's value-like keys, and 12 hex chars is plenty against
-    collision at batch scale.
+    JSON-safe token for them.  The digest is
+    :func:`~repro.util.framing.key_digest`'s, cut to 12 hex chars —
+    plenty against collision at batch scale.
     """
-    key = workload.content_key(job)
-    return hashlib.sha1(repr(key).encode("utf-8")).hexdigest()[:12]
+    return key_digest(workload.content_key(job)).hex()[:12]
 
 
 class _Capture:
@@ -179,7 +178,6 @@ def run_captured(
     *,
     kind: str,
     jobs: int,
-    keys: Sequence[str] | None = None,
 ) -> tuple[list, dict, float]:
     """Run a chunk body, capturing its telemetry when a context rides.
 
@@ -187,16 +185,11 @@ def run_captured(
     With ``ctx is None`` (telemetry off at dispatch time) this is a
     plain call — no sinks, no copies, no new keys.  Otherwise the body
     runs under :func:`_capture` and the delta is stored in a *copy* of
-    the stats dict under :data:`TELEMETRY_KEY`; ``keys`` (content-key
-    digests of the chunk's jobs) land on the worker span so a merged
-    trace links every job to the worker that ran it.
+    the stats dict under :data:`TELEMETRY_KEY`.
     """
     if ctx is None:
         return fn()
-    attributes: dict[str, object] = {"kind": kind, "jobs": jobs}
-    if keys is not None:
-        attributes["keys"] = list(keys)
-    with _capture(ctx, **attributes) as cap:
+    with _capture(ctx, kind=kind, jobs=jobs) as cap:
         results, stats, elapsed = fn()
     stats = dict(stats)
     stats[TELEMETRY_KEY] = cap.delta()

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 
 from repro.machines.turing import TMResult, TuringMachine
 from repro.obs.instrument import OBS
-from repro.runtime.core import Backend, ResidentCache, resolve_backend
+from repro.runtime.core import Backend, resolve_backend
 from repro.runtime.workloads.machines import MACHINES
 
 __all__ = ["TMJob", "run_many"]
@@ -38,7 +38,6 @@ def run_many(
     fuel: int = 10_000,
     compiled: bool = True,
     backend: str | Backend = "serial",
-    cache: ResidentCache | None = None,
 ) -> list[TMResult]:
     """Run every (machine, tape_input) job; results keep job order.
 
@@ -53,15 +52,15 @@ def run_many(
     the dead letter is recorded on ``backend.last_report``.
 
     A backend named by string is created — and closed — by this call;
-    pass an instance to keep its pool (and warm caches) alive across
-    calls.
+    pass an instance to keep its pool, resident programs and result
+    memo alive across calls.
     """
     backend, owned = resolve_backend(backend, workload=MACHINES)
     try:
         with OBS.span(
             "batch.run_many", backend=backend.name, jobs=len(jobs), compiled=compiled
         ):
-            results = backend.execute(jobs, fuel=fuel, compiled=compiled, cache=cache)
+            results = backend.execute(jobs, fuel=fuel, compiled=compiled)
             if OBS.enabled:
                 # One atomic burst: a concurrent snapshot never sees
                 # tm_jobs_total bumped with tm_steps_total still stale.

@@ -101,8 +101,9 @@ def program_key(machine: TuringMachine) -> tuple:
 
     The halting-state sets are sorted into tuples: a frozenset of
     ``str`` iterates in per-process hash order, and the journal key,
-    the trace digest and dist's home node all hash this key, so it must
-    pickle and ``repr`` the same in every process.
+    the trace digest and dist's home node all hash this key's pickle
+    (:func:`repro.util.framing.key_digest`), so it must pickle the same
+    in every process.
     """
     entry = _KEY_MEMO.get(id(machine))
     if entry is not None and entry() is machine:

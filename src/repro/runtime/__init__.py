@@ -58,7 +58,6 @@ __all__ = [
     "create_backend",
     "get_workload",
     "intern_jobs",
-    "open_session",
     "register_workload",
     "resolve_backend",
     "run_job_loop",
@@ -71,7 +70,7 @@ __all__ = [
 # imports promise.
 _ENSEMBLE_EXPORTS = frozenset({"EnsembleBackend", "EnsembleCapable"})
 _JOURNAL_EXPORTS = frozenset({"Journal", "JournaledBackend"})
-_SESSION_EXPORTS = frozenset({"JobFuture", "Scheduler", "Session", "open_session"})
+_SESSION_EXPORTS = frozenset({"JobFuture", "Scheduler", "Session"})
 
 
 def __getattr__(name: str):

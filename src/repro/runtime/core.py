@@ -127,16 +127,6 @@ class ResidentCache:
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "size": len(self._entries)}
 
-    def absorb(self, stats: Mapping[str, int]) -> None:
-        """Fold another cache's hit/miss counts into this one's.
-
-        ``size`` is deliberately not additive — the other cache's
-        entries live (or lived) elsewhere; only the effectiveness
-        counters travel.
-        """
-        self.hits += int(stats.get("hits", 0))
-        self.misses += int(stats.get("misses", 0))
-
 
 _ZERO_STATS = {"hits": 0, "misses": 0, "size": 0}
 
@@ -198,36 +188,25 @@ def run_job_loop(
     return out
 
 
-def _run_chunk(payload: tuple) -> tuple[list[Any], dict[str, int], float]:
-    """Uninterned chunk entry point (module-level so it pickles).
+def _run_chunk(
+    workload: Workload,
+    jobs: Sequence[Job],
+    fuel: int,
+    compiled: bool,
+    cache: ResidentCache,
+) -> tuple[list[Any], dict[str, int], float]:
+    """Run one chunk in-process through ``cache``: ``(results, stats, seconds)``.
 
-    The serial backend's ``submit_chunk`` runs this inline so a
-    supervisor sees identical worker semantics on either backend: a
-    fresh per-chunk cache whose hit/miss counts — and the chunk's wall
-    time — ride home with the results.
-
-    ``payload`` is ``(workload, jobs, fuel, compiled)`` plus an
-    optional trailing :class:`~repro.obs.telemetry.TraceContext`; when
-    one rides, the chunk body runs under a worker-side telemetry
-    capture and its delta piggybacks in the stats dict.
+    The payload shape a pool worker returns, so a supervisor settles
+    in-process chunks exactly like pooled ones.  ``cache`` may hold
+    residents from earlier chunks: ``hits``/``misses`` count this
+    chunk's probes only, and ``size`` is the table's size after it.
     """
-    workload, jobs, fuel, compiled = payload[:4]
-    ctx = payload[4] if len(payload) > 4 else None
-
-    def body() -> tuple[list[Any], dict[str, int], float]:
-        start = time.perf_counter()
-        cache = ResidentCache(workload) if compiled else None
-        results = run_job_loop(workload, jobs, fuel, compiled, cache)
-        stats = cache.stats() if cache is not None else dict(_ZERO_STATS)
-        return results, stats, time.perf_counter() - start
-
-    if ctx is None:
-        return body()
-    # No per-job key digests here: hashing every job's content key
-    # would dwarf a small chunk's real work.  The supervisor stamps
-    # digests on its dispatch spans, where retries make them earn
-    # their cost; the plain runtime links chunks by span ancestry.
-    return run_captured(ctx, body, kind=workload.kind, jobs=len(jobs))
+    hits, misses = cache.hits, cache.misses
+    start = time.perf_counter()
+    results = run_job_loop(workload, jobs, fuel, compiled, cache)
+    stats = {"hits": cache.hits - hits, "misses": cache.misses - misses, "size": len(cache)}
+    return results, stats, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +338,24 @@ class Backend(Protocol):
     workload: Workload
     last_cache_stats: dict[str, int]
 
-    def execute(
-        self, jobs: Sequence[Job], *, fuel: int, compiled: bool, cache: ResidentCache | None
-    ) -> list[Any]: ...
+    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool) -> list[Any]: ...
 
 
 class SerialBackend:
     """In-process execution; the default and the baseline.
 
-    Jobs are interned (equal jobs run once, results shared) but there
-    is no pool to keep warm: cross-call reuse comes from passing a
-    caller-owned :class:`ResidentCache`.
+    Jobs are interned (equal jobs run once, results shared), and both
+    ``execute`` and ``submit_chunk`` run through one
+    :class:`ResidentCache` the backend keeps for its lifetime, as a
+    pool worker keeps its resident table: a program prepared by one
+    call is reused by every later one.  ``close()`` drops it.
     """
 
     name = "serial"
 
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
+        self.residents = ResidentCache(workload)
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
         self.last_dispatch: dict[str, int] = {}
 
@@ -384,15 +364,22 @@ class SerialBackend:
     ) -> Future:
         """Run one chunk inline; return it as an already-settled future.
 
-        Same worker semantics as the process backend (fresh per-chunk
-        cache, stats ride home in the payload), so a supervisor can
-        drive either backend through one interface.
+        Same payload as the process backend's workers (stats and wall
+        time ride home with the results, a riding trace context
+        captures worker-side telemetry), so a supervisor can drive
+        either backend through one interface.
         """
         future: Future = Future()
         try:
+            # No per-job key digests on the worker span: hashing every
+            # job's content key would dwarf a small chunk's real work.
+            # The supervisor stamps digests on its dispatch spans.
             future.set_result(
-                _run_chunk(
-                    (self.workload, tuple(chunk), fuel, compiled, current_context())
+                run_captured(
+                    current_context(),
+                    lambda: _run_chunk(self.workload, chunk, fuel, compiled, self.residents),
+                    kind=self.workload.kind,
+                    jobs=len(chunk),
                 )
             )
         except BaseException as exc:  # settled, never raised here
@@ -403,42 +390,29 @@ class SerialBackend:
         """Nothing to restart: in-process execution has no pool."""
 
     def close(self) -> None:
-        """Nothing to release; idempotent like every backend's close."""
+        """Drop the resident programs; idempotent like every backend's close."""
         enter_close(self)
+        self.residents = ResidentCache(self.workload)
 
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        *,
-        fuel: int,
-        compiled: bool,
-        cache: ResidentCache | None = None,
-    ) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool) -> list[Any]:
         # Reset at entry so a failing run can't leave the previous
         # run's tallies visible.
         self.last_cache_stats = dict(_ZERO_STATS)
         self.last_dispatch = {}
         unique, slots, _ = intern_jobs(self.workload, jobs)
-        local = cache
-        if local is None and compiled:
-            local = ResidentCache(self.workload)
-        before = local.stats() if local is not None else dict(_ZERO_STATS)
-        start = time.perf_counter()
         with OBS.span("batch.chunk", backend=self.name, jobs=len(jobs)):
-            unique_results = run_job_loop(self.workload, unique, fuel, compiled, local)
+            unique_results, stats, elapsed = _run_chunk(
+                self.workload, unique, fuel, compiled, self.residents
+            )
         results = [unique_results[s] for s in slots]
-        elapsed = time.perf_counter() - start
-        after = local.stats() if local is not None else dict(_ZERO_STATS)
-        # Delta, not totals: a caller-shared cache carries history from
-        # previous batches that must not be re-counted.  A deduped
-        # duplicate reused a prepared program without even a cache
-        # probe — the purest hit there is — so it counts as one (in
-        # compiled mode; direct mode has no residents to reuse).
+        # A deduped duplicate reused a prepared program without even a
+        # cache probe — the purest hit there is — so it counts as one
+        # (in compiled mode; direct mode has no residents to reuse).
         deduped = len(jobs) - len(unique)
         self.last_cache_stats = {
-            "hits": after["hits"] - before["hits"] + (deduped if compiled else 0),
-            "misses": after["misses"] - before["misses"],
-            "size": after["size"],
+            "hits": stats["hits"] + (deduped if compiled else 0),
+            "misses": stats["misses"],
+            "size": stats["size"],
         }
         self.last_dispatch = {
             "jobs": len(jobs),
@@ -656,14 +630,7 @@ class Coordinator:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        *,
-        fuel: int,
-        compiled: bool,
-        cache: ResidentCache | None = None,
-    ) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool) -> list[Any]:
         # Reset at entry: a chunk that raises mid-batch used to leave
         # the previous run's tallies behind.
         self.last_cache_stats = dict(_ZERO_STATS)
@@ -736,8 +703,6 @@ class Coordinator:
                 self._memo[(pid, input, fuel, compiled)] = unique_results[u]
         while len(self._memo) > self.memo_size:
             self._memo.popitem(last=False)
-        if cache is not None:
-            cache.absorb(self.last_cache_stats)
         if OBS.enabled:
             OBS.gauge("batch_queue_depth", chunks, backend=self.name)
             _record_cache_metrics(
@@ -819,7 +784,9 @@ class Coordinator:
             for q in queues:
                 q.clear()
             chunk = [unique[u] for u in leftovers]
-            results, stats, _ = _run_chunk((self.workload, chunk, fuel, compiled))
+            results, stats, _ = _run_chunk(
+                self.workload, chunk, fuel, compiled, ResidentCache(self.workload)
+            )
             scatter(leftovers, results)
             settler.absorb_stats(stats)
             self.degraded_jobs += len(leftovers)
@@ -1187,7 +1154,6 @@ def run_jobs(
     fuel: int = 10_000,
     compiled: bool = True,
     backend: str | Backend = "serial",
-    cache: ResidentCache | None = None,
 ) -> list[Any]:
     """Run every ``(program, input)`` job; results keep job order.
 
@@ -1202,8 +1168,8 @@ def run_jobs(
     ``backend.last_report``.
 
     A backend named by string is created — and closed — by this call;
-    pass an instance (bound to the same workload) to keep its pool and
-    warm caches alive across calls.
+    pass an instance (bound to the same workload) to keep its pool,
+    resident programs and result memo alive across calls.
     """
     if isinstance(workload, str):
         workload = get_workload(workload)
@@ -1216,7 +1182,7 @@ def run_jobs(
             jobs=len(jobs),
             compiled=compiled,
         ):
-            results = backend.execute(jobs, fuel=fuel, compiled=compiled, cache=cache)
+            results = backend.execute(jobs, fuel=fuel, compiled=compiled)
             if OBS.enabled:
                 labels = {"workload": workload.kind, "backend": backend.name}
                 summary = getattr(backend, "last_dispatch", None)

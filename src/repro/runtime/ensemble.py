@@ -197,13 +197,23 @@ class EnsembleBackend:
         }
         if not jobs:
             return [], stats
-        unique, slots, _ = intern_jobs(workload, jobs)
+        unique, slots, keys = intern_jobs(workload, jobs)
         stats["unique_jobs"] = len(unique)
         stats["deduped"] = len(jobs) - len(unique)
         if compiled:
             # A deduped duplicate reuses a settled row without even a
             # cache probe — the purest hit there is (mirrors SerialBackend).
             stats["hits"] += stats["deduped"]
+            # Run every job on the first program with its key, as the
+            # serial path runs them all on that program's one resident:
+            # content-equal machines then decode to the same objects.
+            # In place: a new list of 10^4 job tuples can set off a
+            # full garbage collection mid-census.
+            first: dict[Any, Any] = {}
+            for u, key in enumerate(keys):
+                program, input = unique[u]
+                if first.setdefault(key, program) is not program:
+                    unique[u] = (first[key], input)
         unique_results: list[Any] = [None] * len(unique)
         row_of_unique = [-1] * len(unique)
 
@@ -265,14 +275,7 @@ class EnsembleBackend:
             stats["fallback_jobs"] = len(jobs)
         return results, stats
 
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        *,
-        fuel: int,
-        compiled: bool = True,
-        cache: ResidentCache | None = None,
-    ) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool = True) -> list[Any]:
         self.last_cache_stats = dict(_ZERO_STATS)
         self.last_dispatch = {}
         start = time.perf_counter()
@@ -295,8 +298,6 @@ class EnsembleBackend:
             "ensemble_jobs": stats["ensemble_jobs"],
             "fallback_jobs": stats["fallback_jobs"],
         }
-        if cache is not None:
-            cache.absorb(self.last_cache_stats)
         if OBS.enabled:
             batches = 1 if jobs else 0
             OBS.gauge("batch_queue_depth", batches, backend=self.name)

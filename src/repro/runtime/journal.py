@@ -47,7 +47,6 @@ dead-letters them durably.  Recovery semantics live in
 from __future__ import annotations
 
 import base64
-import hashlib
 import os
 import pickle
 import warnings
@@ -60,7 +59,7 @@ from repro.obs.instrument import OBS
 from repro.runtime import core as _core
 from repro.runtime import lifecycle as _lifecycle
 from repro.runtime.workload import Job, Workload, get_workload
-from repro.util.framing import HEADER_BYTES, encode_record, scan_records
+from repro.util.framing import HEADER_BYTES, encode_record, key_digest, scan_records
 
 __all__ = [
     "HEADER_BYTES",
@@ -94,13 +93,10 @@ def journal_key(workload: Workload, job: Job, fuel: int) -> str:
     12-char trace digests, exactly-once dedup gets the whole sha1:
     serving a wrong result on a collision would be silent corruption.
 
-    The key tuple is hashed via its pickle (protocol-pinned so the
-    bytes are stable across processes), not its ``repr`` — content
-    keys embed whole transition tables, and pickling them is ~5x
-    cheaper than rendering them to text on the sweep's hot path.
+    The key tuple is hashed by :func:`~repro.util.framing.key_digest`
+    (a protocol-pinned pickle, stable across processes).
     """
-    key = (workload.kind, workload.content_key(job), fuel)
-    return hashlib.sha1(pickle.dumps(key, protocol=4)).hexdigest()
+    return key_digest((workload.kind, workload.content_key(job), fuel)).hex()
 
 
 def _pack(obj: Any) -> str:
@@ -406,14 +402,7 @@ class JournaledBackend:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(
-        self,
-        jobs: Sequence[Job],
-        *,
-        fuel: int,
-        compiled: bool = True,
-        cache: _core.ResidentCache | None = None,
-    ) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool = True) -> list[Any]:
         from repro.faults.supervisor import DeadLetter
 
         self.last_cache_stats = dict(_core._ZERO_STATS)
@@ -443,10 +432,6 @@ class JournaledBackend:
             OBS.count(
                 "journal_hits_total", served, workload=self.workload.kind
             )
-        # Commit slices share one resident cache: slicing a sweep into
-        # durable batches must not re-prepare every program per slice.
-        if cache is None and compiled:
-            cache = _core.ResidentCache(self.workload)
         order = list(pending.items())
         appended = self.journal.appends
         commits = 0
@@ -460,9 +445,7 @@ class JournaledBackend:
                 with OBS.span(
                     "journal.commit", commit=commits, jobs=len(batch)
                 ):
-                    self._commit(
-                        batch, jobs, out, dispatched, fuel=fuel, compiled=compiled, cache=cache
-                    )
+                    self._commit(batch, jobs, out, dispatched, fuel=fuel, compiled=compiled)
             # The final slice's completions have no next barrier to ride;
             # make them durable before the results leave this call.
             self.journal.sync()
@@ -489,7 +472,6 @@ class JournaledBackend:
         *,
         fuel: int,
         compiled: bool,
-        cache: _core.ResidentCache | None,
     ) -> None:
         """One durable slice: journal intent, run, journal outcomes.
 
@@ -507,7 +489,7 @@ class JournaledBackend:
         self.journal.sync()  # barrier: recovery will know these were in flight
         run_jobs = [jobs[slots[0]] for _, slots in batch]
         try:
-            results = self.inner.execute(run_jobs, fuel=fuel, compiled=compiled, cache=cache)
+            results = self.inner.execute(run_jobs, fuel=fuel, compiled=compiled)
         finally:
             inner = getattr(self.inner, "last_dispatch", None) or {}
             for name in dispatched:

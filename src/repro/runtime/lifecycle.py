@@ -118,19 +118,16 @@ class ChunkSettler:
     the dispatch loops address slots differently — but the
     bookkeeping they used to copy from each other lives here.
 
-    ``size_mode`` decides how per-chunk cache sizes combine:
-    ``"max"`` (the pool backends: workers hold disjoint resident
-    tables, the high-water mark is the honest summary) or ``"sum"``
-    (the supervisor's historical aggregation, preserved exactly).
+    Hits and misses add up; ``size`` keeps the largest chunk's
+    table size, because chunks report the size of a resident table
+    that persists (a pool worker's, or an in-process backend's) and
+    summing would count one table once per chunk.
     """
 
-    __slots__ = ("backend", "size_mode", "aggregate", "settled")
+    __slots__ = ("backend", "aggregate", "settled")
 
-    def __init__(self, backend: str, *, size_mode: str = "max") -> None:
-        if size_mode not in ("max", "sum"):
-            raise ValueError("size_mode must be 'max' or 'sum'")
+    def __init__(self, backend: str) -> None:
         self.backend = backend
-        self.size_mode = size_mode
         self.aggregate: dict[str, int] = {"hits": 0, "misses": 0, "size": 0}
         self.settled = 0
 
@@ -151,11 +148,9 @@ class ChunkSettler:
         degrade-to-serial path aggregates its local cache through here
         without fabricating a chunk latency observation.
         """
-        for key in self.aggregate:
-            if key == "size" and self.size_mode == "max":
-                self.aggregate["size"] = max(self.aggregate["size"], stats.get("size", 0))
-            else:
-                self.aggregate[key] += stats.get(key, 0)
+        self.aggregate["hits"] += stats.get("hits", 0)
+        self.aggregate["misses"] += stats.get("misses", 0)
+        self.aggregate["size"] = max(self.aggregate["size"], stats.get("size", 0))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ __all__ = [
     "JobFuture",
     "Scheduler",
     "Session",
-    "open_session",
 ]
 
 #: The two scheduling classes.  ``BULK`` submissions coalesce inside
@@ -597,8 +596,3 @@ class Session:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def open_session(backend: str | Backend = "serial", **kwargs: Any) -> Session:
-    """Open a :class:`Session`; keyword arguments as for the class."""
-    return Session(backend, **kwargs)

@@ -26,11 +26,17 @@ Two consumption modes, matching the two media:
 The payload is opaque bytes.  :func:`encode_record` /
 :func:`decode_record` specialise to the journal's compact-JSON
 records; the comm layer frames pickles instead.
+
+:func:`key_digest` is the one content digest the layers share: the
+journal's record keys, a program's home node and the telemetry job
+digests all hash a content key through it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 import zlib
 from collections.abc import Iterator
 from typing import Any, BinaryIO
@@ -42,6 +48,7 @@ __all__ = [
     "encode_record",
     "frame",
     "iter_frames",
+    "key_digest",
     "parse_header",
     "read_frame",
     "scan_records",
@@ -58,6 +65,17 @@ class FrameError(ValueError):
     Raised only by the strict stream path (:func:`read_frame`); the
     buffer scan never raises for torn data — it stops.
     """
+
+
+def key_digest(key: Any) -> bytes:
+    """The sha1 of a content key's protocol-4 pickle.
+
+    Pinning the protocol keeps the bytes, and so the digest, stable
+    across processes and runs; pickling a key that embeds a whole
+    transition table is also several times cheaper than rendering it
+    to text with ``repr``.
+    """
+    return hashlib.sha1(pickle.dumps(key, protocol=4)).digest()
 
 
 def frame(payload: bytes) -> bytes:

@@ -18,7 +18,6 @@ from repro.perf.batch import run_many
 from repro.runtime import (
     BACKENDS,
     ProcessBackend,
-    ResidentCache,
     SerialBackend,
     create_backend,
 )
@@ -67,13 +66,12 @@ def test_fault_free_supervised_process_matches_clean():
 
 def test_supervised_aggregates_cache_stats():
     backend = SupervisedBackend(inner=SerialBackend(MACHINES), policy=SupervisorPolicy(chunksize=6))
-    cache = ResidentCache(MACHINES)
     jobs = [(binary_increment(), "1" * (i + 1)) for i in range(12)]
-    run_many(jobs, backend=backend, cache=cache)
-    # Two chunks, each compiling the one distinct machine once.
-    assert backend.last_cache_stats["misses"] == 2
-    assert backend.last_cache_stats["hits"] == 10
-    assert cache.stats()["hits"] == 10 and cache.stats()["misses"] == 2
+    run_many(jobs, backend=backend)
+    # Two chunks over one distinct machine: the first compiles it into
+    # the serial backend's resident table, the second reuses it.
+    assert backend.last_cache_stats["misses"] == 1
+    assert backend.last_cache_stats["hits"] == 11
 
 
 def test_supervised_empty_batch():

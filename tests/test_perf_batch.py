@@ -92,10 +92,11 @@ def test_compile_cache_lru_eviction():
 
 
 def test_run_many_shares_caller_cache():
-    cache = ResidentCache(MACHINES)
+    backend = SerialBackend(MACHINES)
     jobs = [(binary_increment(), f"1{'0' * i}") for i in range(6)]
-    results = run_many(jobs, cache=cache)
+    results = run_many(jobs, backend=backend)
     assert results == reference_results(jobs)
+    cache = backend.residents
     assert cache.stats()["misses"] == 1
     assert cache.stats()["hits"] == 5
 
@@ -135,20 +136,11 @@ def test_process_backend_chunk_count_clamped():
     assert len(backend._chunks([(binary_increment(), "1")] * 800)) == 8
 
 
-def test_compile_cache_absorb_merges_hit_miss_only():
-    cache = ResidentCache(MACHINES)
-    cache.get(binary_increment())  # one real miss, size 1
-    cache.absorb({"hits": 10, "misses": 2, "size": 99})
-    # size is a point-in-time property of *this* cache, never additive.
-    assert cache.stats() == {"hits": 10, "misses": 3, "size": 1}
-
-
 def test_process_backend_surfaces_worker_cache_stats():
     backend = ProcessBackend(MACHINES, workers=2, chunksize=4)
     try:
-        cache = ResidentCache(MACHINES)
         jobs = [(binary_increment(), "1" * i) for i in range(8)]
-        run_many(jobs, backend=backend, cache=cache)
+        run_many(jobs, backend=backend)
         # Two chunks over one distinct machine.  Each *worker* that
         # sees the program compiles it exactly once into its resident
         # table — whether both chunks land on one worker or one each
@@ -156,19 +148,16 @@ def test_process_backend_surfaces_worker_cache_stats():
         stats = backend.last_cache_stats
         assert stats["hits"] + stats["misses"] == len(jobs)
         assert 1 <= stats["misses"] <= 2
-        assert cache.stats()["hits"] == stats["hits"]
-        assert cache.stats()["misses"] == stats["misses"]
     finally:
         backend.close()
 
 
 def test_serial_backend_reports_delta_not_history():
     backend = SerialBackend(MACHINES)
-    cache = ResidentCache(MACHINES)
     jobs = [(binary_increment(), "1")] * 4
-    run_many(jobs, backend=backend, cache=cache)
+    run_many(jobs, backend=backend)
     assert backend.last_cache_stats == {"hits": 3, "misses": 1, "size": 1}
-    run_many(jobs, backend=backend, cache=cache)  # all hits now
+    run_many(jobs, backend=backend)  # all hits now
     assert backend.last_cache_stats == {"hits": 4, "misses": 0, "size": 1}
 
 

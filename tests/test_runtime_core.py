@@ -15,6 +15,7 @@ from repro.runtime import (
     ProcessBackend,
     ResidentCache,
     SerialBackend,
+    Session,
     create_backend,
     intern_jobs,
     resolve_backend,
@@ -175,13 +176,6 @@ def test_resident_cache_hit_miss_and_lru_eviction():
     assert cache.stats() == {"hits": 1, "misses": 4, "size": 2}
 
 
-def test_resident_cache_absorb_folds_counters_not_size():
-    cache = ResidentCache(SCALE)
-    cache.get(2)
-    cache.absorb({"hits": 5, "misses": 7, "size": 99})
-    assert cache.stats() == {"hits": 5, "misses": 8, "size": 1}
-
-
 def test_resident_cache_rejects_bad_maxsize():
     with pytest.raises(ValueError, match="maxsize"):
         ResidentCache(SCALE, maxsize=0)
@@ -231,10 +225,46 @@ def test_run_jobs_reuses_caller_backend_without_closing_it():
 
 
 def test_run_jobs_shared_cache_carries_residents_across_calls():
-    cache = ResidentCache(SCALE)
-    run_jobs(SCALE, [(2, 1)], cache=cache)
-    run_jobs(SCALE, [(2, 9)], cache=cache)
+    backend = SerialBackend(SCALE)
+    run_jobs(SCALE, [(2, 1)], backend=backend)
+    run_jobs(SCALE, [(2, 9)], backend=backend)
+    cache = backend.residents
     assert cache.hits == 1 and cache.misses == 1
+
+
+class CountingScale(ScaleWorkload):
+    """The scale adapter, counting ``prepare`` calls per program."""
+
+    kind = "scale-count-test"
+
+    def __init__(self) -> None:
+        self.prepared: dict[int, int] = {}
+
+    def prepare(self, program: int) -> int:
+        self.prepared[program] = self.prepared.get(program, 0) + 1
+        return super().prepare(program)
+
+
+def test_serial_backend_keeps_its_residents():
+    """One backend prepares each distinct program once, whether its
+    jobs arrive through ``execute``, ``submit_chunk`` or a Session's
+    one-job flushes."""
+    workload = register_workload(CountingScale())
+    backend = SerialBackend(workload)
+    assert backend.execute([(2, 1), (3, 1)], fuel=10, compiled=True) == [
+        ScaleResult(4),
+        ScaleResult(6),
+    ]
+    backend.execute([(2, 2), (4, 1)], fuel=10, compiled=True)
+    results, _, _ = backend.submit_chunk([(3, 2), (5, 1)], fuel=10, compiled=True).result()
+    assert results == [ScaleResult(12), ScaleResult(10)]
+    backend.submit_chunk([(4, 2), (5, 2)], fuel=10, compiled=True).result()
+    with Session(backend) as session:
+        for job in [(2, 3), (5, 3), (6, 1)]:
+            future = session.submit(workload.kind, job, fuel=10)
+            assert future.result(timeout=30) == ScaleResult(job[0] * 2 * job[1])
+        assert session.stats()["executed_jobs"] == 3
+    assert workload.prepared == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
 
 
 # -- run_jobs: observability -------------------------------------------------
@@ -341,7 +371,7 @@ def test_supervised_backend_by_name_carries_workload():
     try:
         assert backend.workload is SCALE
         jobs = [(2, 3), (2, 3), (4, 1)]
-        assert backend.execute(jobs, fuel=10, compiled=True, cache=None) == [
+        assert backend.execute(jobs, fuel=10, compiled=True) == [
             ScaleResult(12),
             ScaleResult(12),
             ScaleResult(8),

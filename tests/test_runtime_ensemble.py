@@ -248,6 +248,21 @@ def test_machines_results_pickle_identical_to_serial(caps, fuel):
     assert backend.last_dispatch["ensemble_jobs"] > 0
 
 
+def test_content_equal_machines_results_pickle_identical_to_serial():
+    """Content-equal but distinct machines on different inputs in one
+    batch: each job's final-state ``str`` comes from the first machine
+    with that content, as on the serial path's one resident per key."""
+    jobs = []
+    for n in range(20):
+        make = LIBRARY[n % len(LIBRARY)]
+        first, second = _renamed(make(), f"_{n}"), _renamed(make(), f"_{n}")
+        jobs += [(first, "1"), (second, "11"), (first, "101"), (second, "")]
+    serial = run_jobs("machines", jobs, fuel=FUEL, backend="serial")
+    backend = EnsembleBackend(MACHINES)
+    assert pickle.dumps(backend.execute(jobs, fuel=FUEL)) == pickle.dumps(serial)
+    assert backend.last_dispatch["ensemble_jobs"] > 0
+
+
 # -- interning: equal jobs share one result object ---------------------------
 
 

@@ -254,7 +254,7 @@ def test_invalid_priority_rejected():
 
 
 class ExplodingBackend(SerialBackend):
-    def execute(self, jobs, *, fuel, compiled=True, cache=None):
+    def execute(self, jobs, *, fuel, compiled=True):
         raise RuntimeError("boom")
 
 

@@ -182,3 +182,24 @@ def test_journal_records_parse_off_the_stream_reader():
     record encoded for disk reads back through the socket-side path."""
     stream = io.BytesIO(encode_record({"kind": "result", "seq": 7}))
     assert decode_record(read_frame(stream)) == {"kind": "result", "seq": 7}
+
+
+# -- the shared content digest -----------------------------------------------
+
+
+def test_key_digest_keeps_journal_keys_and_home_nodes():
+    """Journal record keys and dist home nodes both hash content keys
+    through ``key_digest``; neither may move, or journals and shards
+    written before would stop matching."""
+    from repro.comm.dist import DistBackend
+    from repro.machines.turing import binary_increment
+    from repro.runtime.journal import journal_key
+    from repro.runtime.workloads.machines import MACHINES
+
+    job = (binary_increment(), "1011")
+    assert journal_key(MACHINES, job, 100) == "73b8d28a88561f28af20dcbf2c70a5d8e4ab62b3"
+    backend = DistBackend(MACHINES, nodes=3)
+    try:
+        assert backend._place(MACHINES.program_key(binary_increment())) == 2
+    finally:
+        backend.close()
