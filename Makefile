@@ -108,15 +108,16 @@ bench-comm:
 	python benchmarks/bench_comm.py
 
 # Incremental-scheduler gate at tiny sizes: staggered one-at-a-time
-# session submission reaches >= 70% of one-shot execute() throughput
-# (the full-size run holds the real 80% floor) with
-# pickle-byte-identical results, and latency-class singles submitted
-# mid-sweep settle without waiting for the bulk sweep
+# session submission (group-commit batching, no window) reaches >= 70%
+# of one-shot execute() throughput as the median of 3 alternating
+# pairs (the full-size run holds the real 80% floor over 5 pairs),
+# every pair pickle-byte-identical, and latency-class singles
+# submitted mid-sweep settle without waiting for the bulk sweep
 # (the latency leg skips gracefully below 2 CPUs, CM1-style).
 sched-smoke:
 	python benchmarks/bench_scheduler.py --smoke
 
-# Full-size scheduler gate (10^4 staggered jobs, stabler timings).
+# Full-size scheduler gate (10^4 staggered jobs, 5 alternating pairs).
 bench-sched:
 	python benchmarks/bench_scheduler.py
 

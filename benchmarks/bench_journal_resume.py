@@ -92,9 +92,18 @@ def measure_journal_overhead(smoke: bool, *, repeats: int, workdir: Path) -> dic
         for i in range(njobs)
     ]
     fuel = 2_000_000
-    bare = SerialBackend(MACHINES)
-    expected = bare.execute(jobs, fuel=fuel, compiled=True)
 
+    def bare_run():
+        # A fresh backend per sample, like the journaled leg: a reused
+        # one keeps its compiled programs, and the compile would land
+        # on the journal's side of the comparison.
+        backend = SerialBackend(MACHINES)
+        try:
+            return backend.execute(jobs, fuel=fuel, compiled=True)
+        finally:
+            backend.close()
+
+    expected = bare_run()
     fresh = iter(range(1_000_000))
 
     def journaled_run():
@@ -121,7 +130,7 @@ def measure_journal_overhead(smoke: bool, *, repeats: int, workdir: Path) -> dic
     journaled_times: list[float] = []
     for _ in range(samples):
         t0 = time.perf_counter()
-        bare.execute(jobs, fuel=fuel, compiled=True)
+        bare_run()
         t1 = time.perf_counter()
         journaled_run()
         t2 = time.perf_counter()

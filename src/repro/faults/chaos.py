@@ -56,6 +56,7 @@ from repro.faults.injection import FaultSchedule
 from repro.obs.instrument import OBS
 from repro.obs.telemetry import absorb_chunk_telemetry
 from repro.runtime.core import _ZERO_STATS
+from repro.runtime.lifecycle import ChunkSettler
 from repro.runtime.workload import Job, Workload
 from repro.runtime.workloads.machines import MACHINES
 
@@ -289,7 +290,7 @@ class ChaosBackend:
         self.last_dispatch = {}
         if not jobs:
             return []
-        aggregate = dict(_ZERO_STATS)
+        settler = ChunkSettler(self.name)
         out: list = []
         injected_before = sum(self.injected.values())
         chunks = self._chunks(jobs)
@@ -305,10 +306,9 @@ class ChaosBackend:
                 raise ChunkCorruption("chaos: chunk payload failed validation")
             results, stats, _ = payload
             absorb_chunk_telemetry(stats)
+            settler.absorb_stats(stats)  # size: the largest table, not a sum
             out.extend(results)
-            for key in ("hits", "misses", "size"):
-                aggregate[key] += stats.get(key, 0)
-        self.last_cache_stats = aggregate
+        self.last_cache_stats = settler.aggregate
         self.last_dispatch = {
             "jobs": len(jobs),
             "unique_jobs": len(jobs),  # chaos does not intern; the inner does

@@ -42,8 +42,8 @@ from repro.runtime.core import (
     ResidentCache,
     _ZERO_STATS,
     _record_cache_metrics,
+    _run_chunk,
     intern_jobs,
-    run_job_loop,
 )
 from repro.runtime.lifecycle import enter_close
 from repro.runtime.workload import Job, Workload
@@ -88,7 +88,11 @@ class EnsembleBackend:
     (:func:`~repro.perf.ensemble_engine.compile_family`); nothing is
     cached per machine.  The backend keeps only its *last* family,
     reused when every job's program ``is`` the previous call's (a
-    census re-swept under a higher fuel) and released by ``close()``.
+    census re-swept under a higher fuel).  The fallback loop runs
+    through one :class:`~repro.runtime.core.ResidentCache`
+    (``.residents``) kept for the backend's lifetime, as
+    :class:`~repro.runtime.core.SerialBackend` keeps its own.
+    ``close()`` releases both.
     ``min_population`` keeps tiny batches on the fallback path
     where per-job dispatch is already optimal; the straggler cutoff
     (default ``population // 64``) hands the long tail back to the
@@ -121,6 +125,7 @@ class EnsembleBackend:
         self.straggler_cutoff = straggler_cutoff
         # The previous lowering, ``(jobs, family, rows)``, or None.
         self._last: tuple[list[Job], Any, list[int]] | None = None
+        self.residents = ResidentCache(workload)
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
         self.last_dispatch: dict[str, int] = {}
 
@@ -154,9 +159,10 @@ class EnsembleBackend:
         """Nothing to restart: in-process execution has no pool."""
 
     def close(self) -> None:
-        """Release the last family; there is no pool."""
+        """Release the last family and the residents; there is no pool."""
         enter_close(self)
         self._last = None
+        self.residents = ResidentCache(self.workload)
 
     # -- execution -----------------------------------------------------------
 
@@ -167,9 +173,10 @@ class EnsembleBackend:
 
         Returns ``(results, stats)``: one exact result per job in
         order, and the cache tallies (a miss per job lowered, a hit per
-        job whose lowering was reused, the compile cache for fallback
-        jobs) plus the ``unique_jobs``/``deduped``/``ensemble_jobs``/
-        ``fallback_jobs``/``lock_steps`` accounting.
+        job whose lowering was reused, this call's probes of the
+        residents for fallback jobs, and their table size) plus the
+        ``unique_jobs``/``deduped``/``ensemble_jobs``/``fallback_jobs``/
+        ``lock_steps`` accounting.
 
         Jobs are content-interned first, exactly like the serial and
         process backends: equal ``(program, input)`` jobs map to one
@@ -256,15 +263,12 @@ class EnsembleBackend:
         fallback = [u for u, row in enumerate(row_of_unique) if row < 0]
         if fallback:
             fb_jobs = [unique[u] for u in fallback]
-            fb_cache = ResidentCache(workload) if compiled else None
-            fb_results = run_job_loop(workload, fb_jobs, fuel, compiled, fb_cache)
+            fb_results, fb, _ = _run_chunk(workload, fb_jobs, fuel, compiled, self.residents)
             for u, result in zip(fallback, fb_results):
                 unique_results[u] = result
-            if fb_cache is not None:
-                fb = fb_cache.stats()
-                stats["hits"] += fb["hits"]
-                stats["misses"] += fb["misses"]
-                stats["size"] += fb["size"]
+            stats["hits"] += fb["hits"]
+            stats["misses"] += fb["misses"]
+            stats["size"] = fb["size"]
 
         # -- expand back to job order (duplicates share one object) ----------
         results = [unique_results[s] for s in slots]

@@ -1,4 +1,4 @@
-"""Incremental job lifecycle: sessions, per-job futures, micro-batching.
+"""Incremental job lifecycle: sessions, per-job futures, group commit.
 
 Every backend behind the narrow waist is a batch engine: hand
 ``execute()`` a complete list, get a complete list back.  That shape
@@ -12,21 +12,23 @@ module is the incremental face over the same backends:
   arrival** — an equal job (same workload kind, content key, fuel,
   compiled flag) already pending or in flight joins the existing
   future instead of executing twice, and a bounded settled-result memo
-  extends the same guarantee across flush windows.
-* A :class:`Scheduler` coalesces pending submissions inside a
-  **micro-batching window**: a group flushes when it reaches
-  ``max_batch`` jobs (reason ``size``) or when its ``window`` deadline
-  expires (reason ``deadline``); :meth:`Session.drain` and
-  :meth:`Session.close` force the rest out (reasons ``drain`` /
-  ``close``).
+  extends the same guarantee across flushes.
+* A :class:`Scheduler` batches by **group commit**: whenever its
+  dispatcher has no unit to run it flushes every open group at once
+  (reason ``idle``), so a submission into an idle session goes out
+  immediately, and submissions that arrive while a unit runs coalesce
+  and leave together when it returns.  Batches grow exactly when the
+  per-flush cost exceeds the gap between arrivals, with no clock to
+  tune.  A group also flushes when it reaches ``max_batch`` jobs
+  (reason ``size``); :meth:`Session.drain` and :meth:`Session.close`
+  force the rest out (reasons ``drain`` / ``close``).
 * Flushes obey a **two-class policy**: ``priority="latency"``
-  submissions bypass the batching window entirely (reason
-  ``priority``) and jump the dispatch queue, while bulk flushes are
-  split into at most ``bulk_chunk``-job units — so a latency single
-  submitted mid-sweep waits for at most one bulk unit, never the whole
-  sweep.  This is the two-systems split (PAPERS.md) turned into a
-  scheduling policy: reflexive latency-class singles, deliberate
-  bulk-class sweeps.
+  submissions skip the buckets entirely (reason ``priority``) and
+  jump the dispatch queue, while bulk flushes are split into at most
+  ``bulk_chunk``-job units — so a latency single submitted mid-sweep
+  waits for at most one bulk unit, never the whole sweep.  This is
+  the two-systems split (PAPERS.md) turned into a scheduling policy:
+  reflexive latency-class singles, deliberate bulk-class sweeps.
 
 The scheduler executes flush units through the ordinary
 ``backend.execute`` of whatever backend string the session was opened
@@ -67,15 +69,15 @@ __all__ = [
     "Session",
 ]
 
-#: The two scheduling classes.  ``BULK`` submissions coalesce inside
-#: the micro-batching window; ``LATENCY`` submissions flush at once and
+#: The two scheduling classes.  ``BULK`` submissions coalesce while
+#: the dispatcher is busy; ``LATENCY`` submissions flush at once and
 #: preempt queued bulk units.
 BULK = "bulk"
 LATENCY = "latency"
 _PRIORITIES = frozenset({BULK, LATENCY})
 
 #: Flush reasons, the label set of ``runtime_flush_total``.
-FLUSH_REASONS = ("size", "deadline", "priority", "drain", "close")
+FLUSH_REASONS = ("size", "idle", "priority", "drain", "close")
 
 
 class JobFuture:
@@ -125,14 +127,13 @@ class _Entry:
 
 
 class _Bucket:
-    """An open micro-batch: entries accumulating toward one flush."""
+    """An open batch: entries accumulating toward one flush."""
 
-    __slots__ = ("group", "entries", "deadline")
+    __slots__ = ("group", "entries")
 
-    def __init__(self, group: tuple, deadline: float) -> None:
+    def __init__(self, group: tuple) -> None:
         self.group = group  # (kind, fuel, compiled)
         self.entries: list[_Entry] = []
-        self.deadline = deadline
 
 
 class _FlushUnit:
@@ -150,13 +151,16 @@ class _FlushUnit:
 
 
 class Scheduler:
-    """The micro-batching engine behind a :class:`Session`.
+    """The group-commit engine behind a :class:`Session`.
 
     Owns the intern table, the settled-result memo, the open buckets,
     the two-class dispatch queue and the single dispatcher thread that
-    drives ``backend.execute`` over flush units.  All public methods
-    are thread-safe; execution is serialized on the dispatcher thread,
-    so the (not thread-safe) backends are only ever driven from one
+    drives ``backend.execute`` over flush units.  The dispatcher runs
+    urgent units first, then ready ones; with neither queued it
+    flushes every open bucket (reason ``idle``), and with nothing at
+    all it sleeps until a submission wakes it.  All public methods are
+    thread-safe; execution is serialized on the dispatcher thread, so
+    the (not thread-safe) backends are only ever driven from one
     thread.
     """
 
@@ -165,21 +169,17 @@ class Scheduler:
         backend_for,
         *,
         max_batch: int = 256,
-        window: float = 0.002,
         bulk_chunk: int | None = None,
         memo_size: int = 4096,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if window < 0:
-            raise ValueError("window must be >= 0")
         if bulk_chunk is not None and bulk_chunk < 1:
             raise ValueError("bulk_chunk must be >= 1 (or None)")
         if memo_size < 0:
             raise ValueError("memo_size must be >= 0")
         self._backend_for = backend_for
         self.max_batch = max_batch
-        self.window = window
         self.bulk_chunk = bulk_chunk if bulk_chunk is not None else max_batch
         self.memo_size = memo_size
         self._lock = threading.Lock()
@@ -232,8 +232,8 @@ class Scheduler:
                 return entry.future
             memoed = self._memo.get(key)
             if memoed is not None or key in self._memo:
-                # Settled in an earlier flush window: same result
-                # object, no execution, future born resolved.
+                # Settled in an earlier flush: same result object,
+                # no execution, future born resolved.
                 self._memo.move_to_end(key)
                 self.memo_hits += 1
                 future = JobFuture(workload.kind, priority, now)
@@ -247,18 +247,19 @@ class Scheduler:
                 OBS.gauge("runtime_inflight_jobs", self._inflight_jobs)
             group = (workload.kind, fuel, compiled)
             # Wake the dispatcher only when its wait state changed — a
-            # new deadline or a dispatchable unit.  Joining an open
-            # bucket changes neither, and on the hot staggered-submit
-            # path that is nearly every call.
+            # new bucket or a dispatchable unit.  An open bucket means
+            # the dispatcher is running a unit or already woken, and
+            # it looks at every bucket before it sleeps again; on the
+            # hot staggered-submit path that is nearly every call.
             wake = True
             if priority == LATENCY:
-                # Latency class: no window, no bucket — one urgent
-                # unit, queued ahead of every bulk unit.
+                # Latency class: no bucket — one urgent unit, queued
+                # ahead of every bulk unit.
                 self._enqueue(_FlushUnit(group, [entry], "priority", LATENCY))
             else:
                 bucket = self._buckets.get(group)
                 if bucket is None:
-                    bucket = self._buckets[group] = _Bucket(group, now + self.window)
+                    bucket = self._buckets[group] = _Bucket(group)
                 else:
                     wake = False
                 bucket.entries.append(entry)
@@ -306,37 +307,23 @@ class Scheduler:
             )
             self._thread.start()
 
-    def _next_deadline(self) -> float | None:
-        if not self._buckets:
-            return None
-        return min(bucket.deadline for bucket in self._buckets.values())
-
-    def _promote_expired(self) -> None:
-        now = time.monotonic()
-        for bucket in list(self._buckets.values()):
-            if bucket.deadline <= now:
-                self._flush_bucket(bucket, "deadline")
-
     def _loop(self) -> None:
         while True:
             with self._lock:
                 unit = None
                 while unit is None:
-                    self._promote_expired()
                     if self._urgent:
                         unit = self._urgent.popleft()
                     elif self._ready:
                         unit = self._ready.popleft()
-                    elif self._stopped and not self._buckets:
+                    elif self._buckets:
+                        # Group commit: whatever arrived while the last
+                        # unit ran leaves now, in one flush per group.
+                        self._flush_all("idle")
+                    elif self._stopped:
                         return
                     else:
-                        deadline = self._next_deadline()
-                        timeout = (
-                            max(0.0, deadline - time.monotonic())
-                            if deadline is not None
-                            else None
-                        )
-                        self._wake.wait(timeout)
+                        self._wake.wait()
                 self._running += 1
             try:
                 self._run_unit(unit)
@@ -464,10 +451,12 @@ class Session:
     ``backend_kwargs`` pass through to backend construction
     (``journal_dir=...``, ``nodes=...``, …).
 
-    Scheduling knobs: ``max_batch`` (size-triggered flush), ``window``
-    (micro-batch deadline, seconds), ``bulk_chunk`` (bulk preemption
-    granularity; defaults to ``max_batch``), ``memo_size`` (settled
-    results remembered for cross-window dedup).
+    Bulk submissions go out as soon as the dispatcher is idle and
+    coalesce only while it runs a unit (see :class:`Scheduler`).
+    Scheduling knobs: ``max_batch`` (size-triggered flush),
+    ``bulk_chunk`` (bulk preemption granularity; defaults to
+    ``max_batch``), ``memo_size`` (settled results remembered for
+    dedup across flushes).
     """
 
     def __init__(
@@ -475,7 +464,6 @@ class Session:
         backend: str | Backend = "serial",
         *,
         max_batch: int = 256,
-        window: float = 0.002,
         bulk_chunk: int | None = None,
         memo_size: int = 4096,
         backend_kwargs: Mapping[str, Any] | None = None,
@@ -490,7 +478,6 @@ class Session:
         self.scheduler = Scheduler(
             self._backend_for,
             max_batch=max_batch,
-            window=window,
             bulk_chunk=bulk_chunk,
             memo_size=memo_size,
         )
@@ -539,14 +526,14 @@ class Session:
         """Submit one ``(program, input)`` job; returns its future.
 
         ``priority="latency"`` puts the job in the latency class: it
-        skips the micro-batching window and preempts queued bulk work.
+        skips the buckets and preempts queued bulk work.
         """
         return self.scheduler.submit(
             self._workload(kind), payload, fuel=fuel, compiled=compiled, priority=priority
         )
 
     def flush(self) -> None:
-        """Force open micro-batches out without waiting for settlement."""
+        """Force open buckets out without waiting for settlement."""
         self.scheduler.flush()
 
     def drain(self) -> None:

@@ -16,7 +16,7 @@ from repro.faults.chaos import (
 from repro.machines.turing import binary_increment, copier, palindrome_checker
 from repro.machines.universal import decode_tm, encode_tm
 from repro.perf.batch import run_many
-from repro.runtime import SerialBackend
+from repro.runtime import ProcessBackend, SerialBackend
 from repro.runtime.workloads.machines import MACHINES
 
 JOBS = [
@@ -100,6 +100,21 @@ def test_chaos_backend_passthrough_when_fault_free():
     assert run_many(JOBS, backend=chaos) == reference_results(JOBS)
     assert chaos.last_cache_stats["misses"] > 0
     assert chaos.injected == {kind: 0 for kind in FAULT_KINDS}
+
+
+def test_chaos_backend_reports_table_size_not_a_sum():
+    """Each chunk reports its worker's persisting table; chaos keeps the
+    largest, so eight jobs of one machine read one resident, as bare."""
+    machine = binary_increment()
+    jobs = [(machine, "1" * (n + 1)) for n in range(8)]
+    inner = ProcessBackend(MACHINES, workers=2, chunksize=2)
+    try:
+        chaos = ChaosBackend(inner)
+        assert chaos.execute(jobs, fuel=1000, compiled=True) == reference_results(jobs, 1000)
+        assert chaos.last_dispatch["chunks"] == 4
+        assert chaos.last_cache_stats["size"] == 1
+    finally:
+        inner.close()
 
 
 def test_chaos_backend_crash_aborts_unsupervised_batch():

@@ -290,6 +290,29 @@ def test_ineligible_machines_fall_back_exactly():
     assert backend.last_dispatch["ensemble_jobs"] == 0
 
 
+def test_fallback_residents_persist_across_executes(monkeypatch):
+    """The fallback loop prepares each program once per backend, not
+    once per call, and ``close()`` drops what it prepared."""
+    prepared = []
+    prepare = type(BUSYBEAVER).prepare
+
+    def counting_prepare(self, program):
+        prepared.append(program)
+        return prepare(self, program)
+
+    monkeypatch.setattr(type(BUSYBEAVER), "prepare", counting_prepare)
+    jobs = family_jobs(3, 40, seed=6)
+    backend = EnsembleBackend(BUSYBEAVER, max_states=2)  # 3-state: all fall back
+    first = backend.execute(jobs, fuel=FUEL)
+    second = backend.execute(jobs, fuel=FUEL)
+    assert first == second == reference(BUSYBEAVER, jobs)
+    assert len(prepared) == 40
+    assert backend.last_cache_stats["misses"] == 0
+    assert backend.last_cache_stats["size"] == 40
+    backend.close()
+    assert len(backend.residents) == 0
+
+
 def test_exotic_input_falls_back_exactly():
     """An input symbol outside the symbol budget keeps that one job on
     the fallback path while the rest of the family lock-steps."""

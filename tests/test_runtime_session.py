@@ -5,13 +5,19 @@ backend string — wrapper chains included — produces pickle-byte-
 identical results to a one-shot ``backend.execute`` of the same jobs,
 for every workload adapter.  On top of that sit the lifecycle
 properties: interning joins duplicate submissions to one in-flight
-future, the settled-result memo extends dedup across flush windows,
-latency-class submissions settle without waiting for open bulk
-windows, errors settle futures instead of wedging them, and the
+future, the settled-result memo extends dedup across flushes, an idle
+dispatcher flushes at once while a busy one lets arrivals coalesce
+(group commit), latency-class submissions run ahead of queued bulk
+units, errors settle futures instead of wedging them, and the
 journal / node-kill recovery stories hold through the session path.
+
+Tests that must observe a bucket before it flushes hold the session's
+one dispatcher inside a unit with :class:`HeldBackend`: arrivals then
+coalesce deterministically until the test releases it.
 """
 
 import pickle
+import sys
 import threading
 import time
 
@@ -31,7 +37,7 @@ from repro.machines.universal import encode_tm
 from repro.obs.instrument import observed
 from repro.obs.report import render
 from repro.runtime import SerialBackend, create_backend
-from repro.runtime.session import BULK, LATENCY, Session
+from repro.runtime.session import BULK, LATENCY, Scheduler, Session
 from repro.runtime.workloads.busybeaver import BUSYBEAVER
 from repro.runtime.workloads.complang import COMPLANG, complang_job
 from repro.runtime.workloads.machines import ENCODED_MACHINES, MACHINES
@@ -83,6 +89,47 @@ def one_shot(workload, jobs, **kwargs):
         return backend.execute(jobs, fuel=FUEL, compiled=True)
     finally:
         backend.close()
+
+
+# -- holding the dispatcher --------------------------------------------------
+
+#: The job that occupies the dispatcher; distinct from every pool job.
+BLOCKER = (copier(), "1")
+
+
+class HeldBackend(SerialBackend):
+    """A serial backend whose ``execute`` waits for ``release``.
+
+    ``units`` records the jobs of every ``execute`` call in order, and
+    ``running`` is set once the first call has started.
+    """
+
+    def __init__(self, workload=MACHINES):
+        super().__init__(workload)
+        self.running = threading.Event()
+        self.release = threading.Event()
+        self.units = []
+
+    def execute(self, jobs, *, fuel, compiled=True):
+        self.units.append(list(jobs))
+        self.running.set()
+        if not self.release.wait(timeout=10.0):
+            raise TimeoutError("held backend was never released")
+        return super().execute(jobs, fuel=fuel, compiled=compiled)
+
+
+@pytest.fixture
+def held():
+    backend = HeldBackend()
+    yield backend
+    backend.release.set()
+    backend.close()
+
+
+def hold(session, backend):
+    """Occupy the idle dispatcher with ``BLOCKER`` until ``backend.release``."""
+    session.submit("machines", BLOCKER, fuel=FUEL)
+    assert backend.running.wait(timeout=5.0)
 
 
 # -- byte-identity: session path vs one-shot execute -------------------------
@@ -142,15 +189,17 @@ def test_session_through_wrapper_per_adapter(workload, pool, tmp_path):
 # -- interning: dedup within and across flush windows ------------------------
 
 
-def test_duplicate_submissions_join_one_future():
-    with Session("serial", window=10.0, max_batch=64) as session:
+def test_duplicate_submissions_join_one_future(held):
+    with Session(held, max_batch=64) as session:
+        hold(session, held)
         first = session.submit("machines", _TM_POOL[0], fuel=FUEL)
         second = session.submit("machines", _TM_POOL[0], fuel=FUEL)
         assert second is first  # joined the in-flight entry
+        held.release.set()
         session.drain()
         stats = session.stats()
-    assert stats["submitted"] == 2
-    assert stats["executed_jobs"] == 1
+    assert stats["submitted"] == 3  # the two, plus the blocker
+    assert stats["executed_jobs"] == 2
     assert stats["dedup_joins"] == 1
 
 
@@ -195,53 +244,86 @@ def test_different_fuel_is_a_different_job():
     assert stats["executed_jobs"] == 2
 
 
-# -- micro-batching windows and the two-class policy -------------------------
+# -- group commit and the two-class policy -----------------------------------
 
 
-def test_size_trigger_flushes_full_buckets():
-    with Session("serial", max_batch=2, window=10.0) as session:
+def test_size_trigger_flushes_full_buckets(held):
+    with Session(held, max_batch=2) as session:
+        hold(session, held)
         for job in _TM_POOL[:4]:
             session.submit("machines", job, fuel=FUEL)
+        held.release.set()
         session.drain()
         stats = session.stats()
     assert stats["flushes"].get("size", 0) == 2
 
 
-def test_deadline_trigger_flushes_without_drain():
-    with Session("serial", max_batch=64, window=0.01) as session:
+def test_idle_trigger_flushes_without_drain():
+    with Session("serial", max_batch=64) as session:
         future = session.submit("machines", _TM_POOL[0], fuel=FUEL)
-        # No drain: the window deadline alone must flush the bucket.
+        # No drain: an idle dispatcher alone must flush the bucket.
         assert future.result(timeout=5.0) is not None
         stats = session.stats()
-    assert stats["flushes"].get("deadline", 0) >= 1
+    assert stats["flushes"].get("idle", 0) == 1
 
 
-def test_latency_single_settles_while_bulk_window_open():
-    """A latency-class submission must not wait for the bulk window."""
-    with Session("serial", max_batch=1024, window=10.0) as session:
+def test_group_commit_coalesces_arrivals_behind_a_running_unit(held):
+    """Bulk arrivals during a running unit leave as one idle flush."""
+    with Session(held, max_batch=64) as session:
+        hold(session, held)
+        futures = [session.submit("machines", job, fuel=FUEL) for job in _TM_POOL]
+        held.release.set()
+        assert all(f.result(timeout=5.0) is not None for f in futures)
+        stats = session.stats()
+    assert [len(unit) for unit in held.units] == [1, len(_TM_POOL)]
+    assert stats["flushes"] == {"idle": 2}  # the blocker's, then the k jobs'
+
+
+def test_latency_single_runs_before_queued_bulk(held):
+    """A latency-class submission runs ahead of bulk work queued before it."""
+    with Session(held, max_batch=1024) as session:
+        hold(session, held)
         bulk = [
             session.submit("machines", job, fuel=FUEL, priority=BULK)
             for job in _TM_POOL
         ]
-        urgent = session.submit("machines", (copier(), "11"), fuel=FUEL, priority=LATENCY)
-        # Settles in well under the 10s bulk window.
+        probe = (copier(), "11")
+        urgent = session.submit("machines", probe, fuel=FUEL, priority=LATENCY)
+        # Futures settle on the dispatcher before it takes the next unit.
+        bulk_done_at_settle = []
+        urgent.add_done_callback(
+            lambda _f: bulk_done_at_settle.extend(f.done() for f in bulk)
+        )
+        held.release.set()
         assert urgent.result(timeout=5.0).halted
-        assert all(not f.done() for f in bulk)  # bulk still buffered
         stats = session.stats()
         assert stats["flushes"].get("priority", 0) == 1
         session.drain()
         assert all(f.done() for f in bulk)
+    assert bulk_done_at_settle == [False] * len(bulk)  # bulk still queued
+    assert held.units[:2] == [[BLOCKER], [probe]]
+    assert sum(len(unit) for unit in held.units[2:]) == len(bulk)
 
 
-def test_bulk_chunk_bounds_flush_units():
-    with Session("serial", max_batch=64, window=10.0, bulk_chunk=2) as session:
+def test_bulk_chunk_bounds_flush_units(held):
+    with Session(held, max_batch=64, bulk_chunk=2) as session:
+        hold(session, held)
         for job in _TM_POOL[:5]:  # five unique jobs, one bucket
             session.submit("machines", job, fuel=FUEL)
+        session.flush()  # forced out while the dispatcher is held
+        held.release.set()
         session.drain()
         stats = session.stats()
     # One drain flush of 5 entries → units of ≤2 jobs (trailing-merge
     # rule: 2+3), counted once per unit.
     assert stats["flushes"].get("drain", 0) == 2
+
+
+def test_window_knob_is_gone():
+    with pytest.raises(TypeError):
+        Session("serial", window=0.002)
+    with pytest.raises(TypeError):
+        Scheduler(lambda kind: None, window=0.002)
 
 
 def test_invalid_priority_rejected():
@@ -332,14 +414,17 @@ def test_node_kill_recovery_through_session_path():
 # -- observability -----------------------------------------------------------
 
 
-def test_session_emits_scheduler_metrics_and_report_section():
+def test_session_emits_scheduler_metrics_and_report_section(held):
     with observed() as obs:
-        with Session("serial", max_batch=2, window=10.0) as session:
+        with Session(held, max_batch=2) as session:
+            hold(session, held)
             for job in _TM_POOL:
                 session.submit("machines", job, fuel=FUEL)
             session.submit(
                 "machines", (copier(), "11"), fuel=FUEL, priority=LATENCY
             )
+            session.flush()  # the odd fifth job, forced out while held
+            held.release.set()
             session.drain()
         snapshot = obs.registry.snapshot()
     reasons = {
@@ -348,7 +433,7 @@ def test_session_emits_scheduler_metrics_and_report_section():
     }
     assert {"size", "priority", "drain"} <= reasons
     ages = snapshot["runtime_queue_age_seconds"]["series"]
-    assert sum(entry["count"] for entry in ages) == 6  # one per unique job
+    assert sum(entry["count"] for entry in ages) == 7  # one per unique job + blocker
     inflight = snapshot["runtime_inflight_jobs"]["series"]
     assert inflight and inflight[0]["value"] == 0  # all settled at drain
     report = render(snapshot)
@@ -386,3 +471,34 @@ def test_concurrent_submitters_one_dispatcher():
         session.drain()
         got = [f.result() for f in futures]
     assert [pickle.dumps(r) for r in got] == [pickle.dumps(r) for r in expected]
+
+
+def test_submitters_racing_idle_flushes_execute_each_job_once():
+    """More submitters than cores, a short switch interval, duplicates:
+    every submission settles to the one-shot result, and each unique
+    job executes exactly once however the idle flushes interleave."""
+    jobs = [(binary_increment(), "1" * (n % 12 + 1)) for n in range(240)]
+    expected = one_shot(MACHINES, jobs)
+    futures = [None] * len(jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Session("serial", max_batch=8) as session:
+
+            def submit(k):
+                for i in range(k, len(jobs), 4):
+                    futures[i] = session.submit("machines", jobs[i], fuel=FUEL)
+
+            threads = [threading.Thread(target=submit, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            got = [f.result(timeout=30.0) for f in futures]
+            stats = session.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [pickle.dumps(r) for r in got] == [pickle.dumps(r) for r in expected]
+    assert stats["executed_jobs"] == 12
+    assert stats["executed_jobs"] + stats["dedup_joins"] + stats["memo_hits"] == len(jobs)
