@@ -20,6 +20,10 @@ Acceptance gates:
   loop whose body holds 120 ``if`` statements >= 2x faster, and the
   compiled ``bb4`` run (about 1e2 steps) must be no slower than the
   reference interpreter — the small-job floor;
+* full mode: the compiled DPLL engine must solve 40-variable 3-SAT
+  formulas at the 4.26 clauses/variable threshold (``sweep_large``'s
+  size) >= 1.5x faster than ``dpll_sat``, timing executed solves on
+  freshly prepared formulas, with compilation reported apart;
 * every mode (PF2, smoke included): the warm-pool batch workload must
   beat the per-job reference interpreter by more than twice the old
   2.44x cold-dispatch baseline — the regression tripwire for payload
@@ -33,6 +37,7 @@ import argparse
 import json
 import platform
 import sys
+import time
 from pathlib import Path
 
 _HERE = Path(__file__).resolve().parent
@@ -44,6 +49,7 @@ from _common import Table, emit  # noqa: E402
 from repro.complang.compile import compile_program  # noqa: E402
 from repro.complang.parser import parse  # noqa: E402
 from repro.complang.vm import VM  # noqa: E402
+from repro.complexity.sat import dpll_sat, random_ksat  # noqa: E402
 from repro.machines.automata import DFA  # noqa: E402
 from repro.machines.busybeaver import busy_beaver_machine  # noqa: E402
 from repro.machines.turing import (  # noqa: E402
@@ -53,6 +59,7 @@ from repro.machines.turing import (  # noqa: E402
 )
 from repro.perf.batch import run_many  # noqa: E402
 from repro.perf.engine import compile_dfa, compile_tm  # noqa: E402
+from repro.perf.sat_engine import compile_sat  # noqa: E402
 from repro.perf.vm_engine import compile_vm  # noqa: E402
 from repro.runtime import ProcessBackend, SerialBackend  # noqa: E402
 from repro.runtime.workloads.machines import MACHINES  # noqa: E402
@@ -67,9 +74,15 @@ REQUIRED_STEPS = 100_000
 COLD_BASELINE_SPEEDUP = 2.44
 WARM_REQUIRED_SPEEDUP = max(REQUIRED_SPEEDUP, 2 * COLD_BASELINE_SPEEDUP)
 # Rows gated by name at full sizes: the complang block engine on a
-# ~1e5-step loop and on a 120-if loop, and the small-job floor (a
-# ~1e2-step compiled bb4 run must not lose to the interpreter).
-ROW_REQUIRED_SPEEDUP = {"complang_loop": 5.0, "complang_branchy": 2.0, "bb4": 1.0}
+# ~1e5-step loop and on a 120-if loop, the small-job floor (a ~1e2-step
+# compiled bb4 run must not lose to the interpreter), and the DPLL
+# engine on threshold 3-SAT.
+ROW_REQUIRED_SPEEDUP = {
+    "complang_loop": 5.0,
+    "complang_branchy": 2.0,
+    "bb4": 1.0,
+    "sat_threshold": 1.5,
+}
 # Each timed repeat runs for at least this long, so ~10 us runs are
 # averaged over many calls rather than timed one call at a time.
 MIN_TIME = 0.02
@@ -183,6 +196,50 @@ def measure_vm(workload: dict, *, repeats: int) -> dict:
         "blocks": compiled.describe()["blocks"],
         "reference_seconds": ref_s,
         "compiled_seconds": fast_s,
+        "speedup": ref_s / fast_s,
+    }
+
+
+def sat_observation(result) -> tuple:
+    """What the engine must reproduce: verdict, nodes, model order."""
+    model = None if result.assignment is None else list(result.assignment.items())
+    return (result.satisfiable, result.nodes_explored, model)
+
+
+def measure_sat(smoke: bool, *, repeats: int) -> dict:
+    """``CompiledSat.run`` against ``dpll_sat`` on fixed seeded
+    40-variable 3-SAT formulas at 4.26 clauses per variable.
+
+    Both sides execute every solve.  Each timed engine pass runs on
+    formulas prepared just before it, untimed, so no solve reuses what
+    an earlier run of the same formula built; compilation is timed on
+    its own.
+    """
+    formulas = [random_ksat(40, 170, seed=seed) for seed in range(2 if smoke else 12)]
+    nodes = 0
+    for formula in formulas:
+        reference = sat_observation(dpll_sat(formula))
+        assert sat_observation(compile_sat(formula).run()) == reference, (
+            "sat_threshold: compiled DPLL engine diverged"
+        )
+        nodes += reference[1]
+    ref_s = time_callable(lambda: [dpll_sat(f) for f in formulas], repeats=repeats)
+    compile_s = time_callable(lambda: [compile_sat(f) for f in formulas], repeats=repeats)
+    fast_s = float("inf")
+    for _ in range(repeats):
+        prepared = [compile_sat(f) for f in formulas]
+        start = time.perf_counter()
+        for compiled in prepared:
+            compiled.run()
+        fast_s = min(fast_s, time.perf_counter() - start)
+    return {
+        "name": "sat_threshold",
+        "kind": "sat",
+        "steps": nodes,
+        "formulas": len(formulas),
+        "reference_seconds": ref_s,
+        "compiled_seconds": fast_s,
+        "compile_seconds": compile_s,
         "speedup": ref_s / fast_s,
     }
 
@@ -305,6 +362,7 @@ def main(argv: list[str] | None = None) -> int:
 
     results = [measure_tm(w, repeats=repeats) for w in tm_workloads(args.smoke)]
     results += [measure_vm(w, repeats=repeats) for w in vm_workloads(args.smoke)]
+    results.append(measure_sat(args.smoke, repeats=repeats))
     results.append(measure_dfa(args.smoke, repeats=repeats))
     batch = measure_batch(args.smoke, repeats=repeats)
     batch_warm = measure_batch_warm(args.smoke, repeats=repeats)
@@ -321,14 +379,14 @@ def main(argv: list[str] | None = None) -> int:
     ]
 
     table = Table(
-        ["workload", "steps/jobs", "reference s", "compiled s", "speedup"],
+        ["workload", "steps/jobs", "reference s", "compiled s", "compile s", "speedup"],
         caption=f"PERF1: compiled engine vs reference interpreters"
         f" ({'smoke' if args.smoke else 'full'} sizes)",
     )
     for r in results:
-        table.add_row(r["name"], r["steps"], r["reference_seconds"], r["compiled_seconds"], f"{r['speedup']:.1f}x")
-    table.add_row(batch["name"], batch["jobs"], batch["reference_seconds"], batch["compiled_seconds"], f"{batch['speedup']:.1f}x")
-    table.add_row(batch_warm["name"], batch_warm["jobs"], batch_warm["reference_seconds"], batch_warm["compiled_seconds"], f"{batch_warm['speedup']:.1f}x")
+        table.add_row(r["name"], r["steps"], r["reference_seconds"], r["compiled_seconds"], r.get("compile_seconds", "-"), f"{r['speedup']:.1f}x")
+    table.add_row(batch["name"], batch["jobs"], batch["reference_seconds"], batch["compiled_seconds"], "-", f"{batch['speedup']:.1f}x")
+    table.add_row(batch_warm["name"], batch_warm["jobs"], batch_warm["reference_seconds"], batch_warm["compiled_seconds"], "-", f"{batch_warm['speedup']:.1f}x")
     emit("PERF1", table)
 
     payload = {

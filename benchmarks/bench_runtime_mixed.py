@@ -22,8 +22,10 @@ tripwire for the narrow-waist extraction):
   parse+compile+run per-job loop by >= 2x, results exactly equal.
 
 The sat and busybeaver rows are measured and equality-asserted but not
-speed-gated: a DPLL solve is all search and no preparable program, so
-the runtime's win there is dedup, not warmth.
+speed-gated.  Their jobs repeat a few tiny formulas and machines, so
+the runtime's win there is mostly dedup; the sat adapter's compiled
+DPLL engine is gated where its work is, in PERF1's ``sat_threshold``
+row.
 """
 
 from __future__ import annotations

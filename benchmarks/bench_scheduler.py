@@ -11,9 +11,9 @@ of :mod:`repro.runtime.session` honest:
    a one-shot ``backend.execute`` over the same list, with
    pickle-byte-identical results (relaxed to 70% at smoke sizes,
    where the fixed per-submit cost is a visible share of each tiny
-   job).  The two legs run as alternating pairs (5 at full size, 3 at
-   smoke), every pair must be byte-identical, and the gate reads the
-   median per-pair ratio: one run's ratio swings too widely on a
+   job).  The two legs run as five alternating pairs at either size,
+   every pair must be byte-identical, and the gate reads the median
+   per-pair ratio: one run's ratio swings too widely on a
    shared host to decide alone.  Runs on any CPU count: the
    comparison is against the same backend, so the gate measures
    scheduler overhead, not parallelism.
@@ -66,7 +66,7 @@ MIN_RATIO = 0.8
 SMOKE_MIN_RATIO = 0.7
 # One-shot/session pairs timed per throughput run.
 PAIRS = 5
-SMOKE_PAIRS = 3
+SMOKE_PAIRS = 5
 MIN_CPUS_LATENCY = 2
 FUEL = 100_000
 

@@ -172,11 +172,13 @@ class EnsembleBackend:
         """Lower, partition, run, fall back.
 
         Returns ``(results, stats)``: one exact result per job in
-        order, and the cache tallies (a miss per job lowered, a hit per
-        job whose lowering was reused, this call's probes of the
-        residents for fallback jobs, and their table size) plus the
+        order, and the cache tallies plus the
         ``unique_jobs``/``deduped``/``ensemble_jobs``/``fallback_jobs``/
-        ``lock_steps`` accounting.
+        ``lock_steps`` accounting.  The tallies count each job once: a
+        deduped duplicate is a hit; a job whose family row ran is a
+        miss of a fresh lowering or a hit of a reused one; a job the
+        fallback loop ran is its probe of the residents.  ``size`` is
+        the residents' table size.
 
         Jobs are content-interned first, exactly like the serial and
         process backends: equal ``(program, input)`` jobs map to one
@@ -234,14 +236,13 @@ class EnsembleBackend:
                     lowered.append((get_machine(program), input))
                 except EnsembleIneligible:
                     lowered.append((None, input))
-            if self._last is not None and _same_jobs(self._last[0], lowered):
+            reused = self._last is not None and _same_jobs(self._last[0], lowered)
+            if reused:
                 _, family, rows = self._last
-                stats["hits"] += len(lowered)
             else:
                 family, rows = compile_family(
                     lowered, max_states=self.max_states, max_symbols=self.max_symbols
                 )
-                stats["misses"] += len(lowered)
                 self._last = (lowered, family, rows)
             # Too few rows fit to amortise array setup: all take the warm path.
             if len(rows) >= self.min_population:
@@ -252,10 +253,14 @@ class EnsembleBackend:
                 )
                 outcome = run_family(family, fuel=fuel, straggler_cutoff=cutoff)
                 family_results = workload.ensemble_results(outcome)
+                settled = 0
                 for row, (u, abandoned) in enumerate(zip(rows, outcome.abandoned.tolist())):
                     if not abandoned:  # abandoned rows rerun from scratch below
                         unique_results[u] = family_results[row]
                         row_of_unique[u] = row
+                        settled += 1
+                # The rest are counted by the fallback loop's probes.
+                stats["hits" if reused else "misses"] += settled
                 stats["lock_steps"] = outcome.lock_steps
                 ran_family = True
 

@@ -313,6 +313,25 @@ def test_fallback_residents_persist_across_executes(monkeypatch):
     assert len(backend.residents) == 0
 
 
+def test_cache_stats_count_each_job_once():
+    """A job is one hit or one miss: an ineligible machine is not also
+    counted as a miss of the lowering it could not join."""
+    jobs = family_jobs(3, 40, seed=6)
+    backend = EnsembleBackend(BUSYBEAVER, max_states=2)  # 3-state: all fall back
+    backend.execute(jobs, fuel=FUEL)
+    assert (backend.last_cache_stats["hits"], backend.last_cache_stats["misses"]) == (0, 40)
+    backend.execute(jobs, fuel=FUEL)
+    assert (backend.last_cache_stats["hits"], backend.last_cache_stats["misses"]) == (40, 0)
+    # Mixed: 40 rows lock-step, one exotic input falls back, one repeats.
+    mixed = family_jobs(2, 40, seed=8)
+    mixed += [(mixed[0][0], "xyz"), mixed[1]]
+    backend = EnsembleBackend(BUSYBEAVER, max_symbols=2)
+    for _ in range(2):
+        backend.execute(mixed, fuel=FUEL)
+        stats = backend.last_cache_stats
+        assert stats["hits"] + stats["misses"] == len(mixed)
+
+
 def test_exotic_input_falls_back_exactly():
     """An input symbol outside the symbol budget keeps that one job on
     the fallback path while the rest of the family lock-steps."""

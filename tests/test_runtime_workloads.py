@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.complexity.sat import CNF
+from repro.complexity.sat import CNF, dpll_sat
 from repro.faults.chaos import ChaosBackend, ChaosSchedule
 from repro.faults.supervisor import SupervisedBackend, SupervisorPolicy
 from repro.machines.busybeaver import busy_beaver_machine, score_sweep
@@ -24,11 +24,12 @@ from repro.machines.turing import (
     unary_adder,
 )
 from repro.machines.universal import UniversalMachine, encode_tm
+from repro.perf.sat_engine import CompiledSat
 from repro.runtime import ProcessBackend, SerialBackend, run_jobs
 from repro.runtime.workloads.busybeaver import BBScore, BUSYBEAVER
 from repro.runtime.workloads.complang import COMPLANG, complang_job
 from repro.runtime.workloads.machines import ENCODED_MACHINES, MACHINES
-from repro.runtime.workloads.sat import SAT, sat_job
+from repro.runtime.workloads.sat import SAT, sat_input, sat_job
 
 FUEL = 10_000
 
@@ -58,6 +59,8 @@ _SAT_POOL = [
     sat_job(CNF.of([(1,), (-1,)])),  # unsatisfiable
     sat_job(CNF.of([(1, 2, 3), (-1, -2), (2, 3), (-3, 1)]), unit_propagation=False),
     sat_job(CNF.of([(1, 2), (-1, 2), (1, -2)]), pure_literals=False),
+    # Repeated and complementary literals: (1, 1) is no unit.
+    sat_job(CNF.of([(1, 1), (-1, 2, -1), (2, -2, 3), (-3, -3, 1)])),
 ]
 
 _BB_POOL = [(busy_beaver_machine(n), "") for n in (1, 2, 3, 4)]
@@ -76,7 +79,9 @@ def direct(workload, jobs):
     return [workload.run_direct(program, input, FUEL) for program, input in jobs]
 
 
-plans = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=10)
+# Indices into a pool, taken modulo its size: 0-4 reaches every entry
+# of the five-entry pools.
+plans = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=10)
 
 
 # -- serial and supervised backends match run_direct -------------------------
@@ -212,6 +217,50 @@ def test_poison_quarantined_by_content_key_including_duplicate_slots():
             assert COMPLANG.content_key(letter.job) == COMPLANG.content_key(jobs[1])
     finally:
         backend.close()
+
+
+# -- the sat adapter: prepare compiles, run_direct is the reference ----------
+
+
+def test_sat_prepare_compiles_the_formula():
+    assert isinstance(SAT.prepare(CNF.of([(1, -2), (2,)])), CompiledSat)
+
+
+def test_sat_empty_clause_runs_on_the_reference():
+    formula = CNF(((1, 2), ()))
+    with pytest.raises(ValueError):
+        SAT.prepare(formula)
+    with pytest.raises(Exception) as reference:
+        dpll_sat(formula)
+    with pytest.raises(Exception) as runtime:
+        run_jobs("sat", [sat_job(formula)], fuel=FUEL)
+    assert type(runtime.value) is type(reference.value)
+
+
+def test_sat_option_sweep_shares_one_compilation(monkeypatch):
+    formula = CNF.of([(1, 2, 3), (-1, -2), (2, 3), (-3, 1), (-2, -3)])
+    jobs = [
+        (formula, sat_input(unit_propagation=up, pure_literals=pl))
+        for up in (True, False)
+        for pl in (True, False)
+    ]
+    prepared = []
+    prepare = SAT.prepare
+
+    def counting_prepare(program):
+        prepared.append(program)
+        return prepare(program)
+
+    monkeypatch.setattr(SAT, "prepare", counting_prepare)
+    backend = SerialBackend(SAT)
+    try:
+        # Two calls on one backend: the second reuses the first's resident.
+        results = run_jobs(SAT, jobs[:2], fuel=FUEL, backend=backend)
+        results += run_jobs(SAT, jobs[2:], fuel=FUEL, backend=backend)
+    finally:
+        backend.close()
+    assert prepared == [formula]
+    assert results == direct(SAT, jobs)
 
 
 # -- consumers routed through the runtime ------------------------------------
