@@ -90,13 +90,13 @@ def byte_identity_check(smoke: bool) -> dict:
     """Two loopback nodes vs SerialBackend, then a warm memo pass."""
     jobs = mixed_jobs(24 if smoke else 96)
     fuel = 50_000
-    clean = SerialBackend(MACHINES).execute(jobs, fuel=fuel, compiled=True)
+    clean = SerialBackend(MACHINES).execute(jobs, fuel=fuel)
     backend = DistBackend(MACHINES, nodes=2, topology="single_node", workers_per_node=0)
     try:
-        out = backend.execute(jobs, fuel=fuel, compiled=True)
+        out = backend.execute(jobs, fuel=fuel)
         first_dispatch = dict(backend.last_dispatch)
         identical = per_result_pickles(out) == per_result_pickles(clean)
-        again = backend.execute(jobs, fuel=fuel, compiled=True)
+        again = backend.execute(jobs, fuel=fuel)
         warm_dispatch = dict(backend.last_dispatch)
         warm_identical = per_result_pickles(again) == per_result_pickles(clean)
     finally:
@@ -119,7 +119,7 @@ def node_kill_check(smoke: bool) -> dict:
     """Kill one node mid-sweep; the recovery must be exact."""
     jobs = mixed_jobs(24 if smoke else 96)
     fuel = 50_000
-    clean = SerialBackend(MACHINES).execute(jobs, fuel=fuel, compiled=True)
+    clean = SerialBackend(MACHINES).execute(jobs, fuel=fuel)
     backend = DistBackend(
         MACHINES,
         nodes=2,
@@ -129,7 +129,7 @@ def node_kill_check(smoke: bool) -> dict:
         chaos=ChaosSchedule(kinds={1: "node_kill"}),
     )
     try:
-        out = backend.execute(jobs, fuel=fuel, compiled=True)
+        out = backend.execute(jobs, fuel=fuel)
         dispatch = dict(backend.last_dispatch)
         identical = per_result_pickles(out) == per_result_pickles(clean)
         lost = sum(1 for r in out if r is None)
@@ -195,9 +195,9 @@ def throughput_gate(smoke: bool, *, repeats: int) -> dict:
     try:
         # Warm both: pools built, shards seeded, first batch discarded.
         warm = batch(0)
-        expected = SerialBackend(MACHINES).execute(warm, fuel=FUEL, compiled=True)
-        got_single = single.execute(warm, fuel=FUEL, compiled=True)
-        got_dist = dist.execute(warm, fuel=FUEL, compiled=True)
+        expected = SerialBackend(MACHINES).execute(warm, fuel=FUEL)
+        got_single = single.execute(warm, fuel=FUEL)
+        got_dist = dist.execute(warm, fuel=FUEL)
         identical = per_result_pickles(got_dist) == per_result_pickles(expected)
         identical &= per_result_pickles(got_single) == per_result_pickles(expected)
         single_times: list[float] = []
@@ -205,9 +205,9 @@ def throughput_gate(smoke: bool, *, repeats: int) -> dict:
         for r in range(1, repeats + 1):
             jobs = batch(r)
             t0 = time.perf_counter()
-            single.execute(jobs, fuel=FUEL, compiled=True)
+            single.execute(jobs, fuel=FUEL)
             t1 = time.perf_counter()
-            dist.execute(jobs, fuel=FUEL, compiled=True)
+            dist.execute(jobs, fuel=FUEL)
             t2 = time.perf_counter()
             single_times.append(t1 - t0)
             dist_times.append(t2 - t1)

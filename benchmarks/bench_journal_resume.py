@@ -99,7 +99,7 @@ def measure_journal_overhead(smoke: bool, *, repeats: int, workdir: Path) -> dic
         # on the journal's side of the comparison.
         backend = SerialBackend(MACHINES)
         try:
-            return backend.execute(jobs, fuel=fuel, compiled=True)
+            return backend.execute(jobs, fuel=fuel)
         finally:
             backend.close()
 

@@ -61,7 +61,7 @@ from repro.perf.batch import run_many  # noqa: E402
 from repro.perf.engine import compile_dfa, compile_tm  # noqa: E402
 from repro.perf.sat_engine import compile_sat  # noqa: E402
 from repro.perf.vm_engine import compile_vm  # noqa: E402
-from repro.runtime import ProcessBackend, SerialBackend  # noqa: E402
+from repro.runtime import ProcessBackend, SerialBackend, intern_jobs  # noqa: E402
 from repro.runtime.workloads.machines import MACHINES  # noqa: E402
 from repro.util.timing import time_callable  # noqa: E402
 
@@ -268,8 +268,16 @@ def measure_batch(smoke: bool, *, repeats: int) -> dict:
     jobs = [(palindrome_checker(), "a" * 60)] * copies + [
         (copier(), "1" * 40)
     ] * copies
-    assert run_many(jobs, fuel=fuel) == run_many(jobs, fuel=fuel, compiled=False)
-    ref_s = time_callable(lambda: run_many(jobs, fuel=fuel, compiled=False), repeats=repeats)
+
+    def reference() -> list:
+        # The deduplicated reference: each unique job interpreted once.
+        unique, slots, _ = intern_jobs(MACHINES, jobs)
+        results = [machine.run(tape, fuel=fuel) for machine, tape in unique]
+        return [results[s] for s in slots]
+
+    expected = [machine.run(tape, fuel=fuel) for machine, tape in jobs]
+    assert run_many(jobs, fuel=fuel) == reference() == expected
+    ref_s = time_callable(reference, repeats=repeats)
     fast_s = time_callable(lambda: run_many(jobs, fuel=fuel), repeats=repeats)
     backend = SerialBackend(MACHINES)
     run_many(jobs, fuel=fuel, backend=backend)

@@ -104,7 +104,7 @@ def one_shot_leg(jobs) -> tuple[list, float]:
     backend = create_backend("serial", workload="machines")
     try:
         t0 = time.perf_counter()
-        results = backend.execute(jobs, fuel=FUEL, compiled=True)
+        results = backend.execute(jobs, fuel=FUEL)
         return results, time.perf_counter() - t0
     finally:
         backend.close()

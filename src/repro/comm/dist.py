@@ -77,6 +77,8 @@ class DistBackend(Coordinator):
     """
 
     name = "dist"
+    #: Lost-node restarts one batch may spend before it runs the rest locally.
+    max_node_restarts = 4
 
     def __init__(
         self,
@@ -87,7 +89,6 @@ class DistBackend(Coordinator):
         topology: str | None = None,
         chunksize: int | None = None,
         memo_size: int = 4096,
-        max_node_restarts: int = 4,
         chaos: Any = None,
         connect_timeout: float = 30.0,
     ) -> None:
@@ -110,7 +111,6 @@ class DistBackend(Coordinator):
         if topology is None:
             topology = "hierarchical" if self.workers_per_node > 1 else "naive"
         self.topology = topology
-        self.max_node_restarts = max_node_restarts
         self.chaos = chaos
         self.connect_timeout = connect_timeout
         #: Total worker estimate — the supervisor sizes chunks off this.
@@ -335,7 +335,6 @@ class DistBackend(Coordinator):
         entries: Sequence[tuple[int, Any]],
         *,
         fuel: int,
-        compiled: bool,
     ) -> tuple[Future, int]:
         """Route one interned chunk to ``node``; ``(future, bytes)``.
 
@@ -361,7 +360,6 @@ class DistBackend(Coordinator):
             "entries": tuple(entries),
             "shipped": shipped,
             "fuel": fuel,
-            "compiled": compiled,
             "ctx": current_context(),
         }
         try:

@@ -17,8 +17,8 @@ Protocol (every message one framed pickle of ``(op, body)``):
   ``ProcessBackend.warm`` — and replies ``("sharded", {node,
   generation, programs})`` only once the pool is up, so the reply is
   a real barrier.
-* ``("chunk", {chunk_id, generation, entries, shipped, fuel,
-  compiled, ctx})`` — execute interned entries.  Serial nodes run
+* ``("chunk", {chunk_id, workload, generation, entries, shipped,
+  fuel, ctx})`` — execute interned entries.  Serial nodes run
   them inline through :func:`repro.runtime.core._execute_entries`
   (against a node-local table, so in-process loopback nodes sharing
   one interpreter never share state); pooled nodes submit the
@@ -165,7 +165,6 @@ class NodeServer:
             tuple(body["entries"]),
             dict(body.get("shipped") or {}),
             body["fuel"],
-            body["compiled"],
         )
         if self.workers >= 1:
             if self._pool is None:  # a previous chunk broke it; self-heal
@@ -178,11 +177,11 @@ class NodeServer:
                 return
             future.add_done_callback(lambda f: self._pooled_done(chunk_id, f))
             return
-        workload, generation, entries, shipped, fuel, compiled = payload
+        workload, generation, entries, shipped, fuel = payload
 
         def run() -> tuple[list, dict, float]:
             return _core._execute_entries(
-                workload, generation, entries, shipped, fuel, compiled, table=self._table
+                workload, generation, entries, shipped, fuel, table=self._table
             )
 
         try:

@@ -230,9 +230,7 @@ class ChaosBackend:
         self.last_dispatch: dict[str, int] = {}
         self._hung: set[Future] = set()
 
-    def submit_chunk(
-        self, chunk: Sequence[Job], *, fuel: int, compiled: bool
-    ) -> Future:
+    def submit_chunk(self, chunk: Sequence[Job], *, fuel: int) -> Future:
         self.dispatches += 1
         kind = self.schedule.next_fault()
         if self._poison and any(
@@ -240,7 +238,7 @@ class ChaosBackend:
         ):
             kind = "crash"  # poison beats the schedule, every time
         if kind is None:
-            return self.inner.submit_chunk(chunk, fuel=fuel, compiled=compiled)
+            return self.inner.submit_chunk(chunk, fuel=fuel)
         self.injected[kind] += 1
         OBS.event("chaos.inject", kind=kind, jobs=len(chunk), dispatch=self.dispatches)
         if kind == "node_kill":
@@ -251,7 +249,7 @@ class ChaosBackend:
                 # backend's own detection (WorkerCrash on the future),
                 # never as a synthetic fault.
                 killer()
-                return self.inner.submit_chunk(chunk, fuel=fuel, compiled=compiled)
+                return self.inner.submit_chunk(chunk, fuel=fuel)
             kind = "crash"  # no node seam: portable degradation
         fault: Future = Future()
         if kind == "kill":
@@ -285,7 +283,7 @@ class ChaosBackend:
         chunker = getattr(self.inner, "_chunks", None)
         return chunker(jobs) if chunker is not None else [tuple(jobs)]
 
-    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool) -> list:
+    def execute(self, jobs: Sequence[Job], *, fuel: int) -> list:
         self.last_cache_stats = dict(_ZERO_STATS)
         self.last_dispatch = {}
         if not jobs:
@@ -297,7 +295,7 @@ class ChaosBackend:
         if OBS.enabled:
             OBS.gauge("batch_queue_depth", len(chunks), backend=self.name)
         for chunk in chunks:
-            future = self.submit_chunk(chunk, fuel=fuel, compiled=compiled)
+            future = self.submit_chunk(chunk, fuel=fuel)
             if future in self._hung:
                 future.cancel()
                 raise ChunkTimeout("chaos: chunk hung with no supervisor deadline")

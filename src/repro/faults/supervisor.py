@@ -168,12 +168,11 @@ class _Task:
 class _Supervision:
     """The event loop of one supervised ``execute`` call."""
 
-    def __init__(self, backend: "SupervisedBackend", fuel: int, compiled: bool) -> None:
+    def __init__(self, backend: "SupervisedBackend", fuel: int) -> None:
         self.backend = backend
         self.policy = backend.policy
         self.active = backend.inner  # swapped for a SerialBackend on degradation
         self.fuel = fuel
-        self.compiled = compiled
         self.report = SupervisionReport()
         self.settler = ChunkSettler(backend.name)
         self.aggregate = self.settler.aggregate
@@ -252,11 +251,11 @@ class _Supervision:
         """Submit to the active backend; survive a broken submit path."""
         for _ in range(2):
             try:
-                return self.active.submit_chunk(jobs, fuel=self.fuel, compiled=self.compiled)
+                return self.active.submit_chunk(jobs, fuel=self.fuel)
             except CRASH_TYPES:
                 self._recover()
         self._degrade()
-        return self.active.submit_chunk(jobs, fuel=self.fuel, compiled=self.compiled)
+        return self.active.submit_chunk(jobs, fuel=self.fuel)
 
     # -- completion ---------------------------------------------------------
 
@@ -481,7 +480,6 @@ class SupervisedBackend:
         self.last_postmortems: list[dict[str, Any]] = []
         self._last_results: list[Any] = []
         self._last_fuel: int | None = None
-        self._last_compiled = True
 
     def recover(self) -> None:
         """Restart the inner backend's pool (next submit re-seeds it)."""
@@ -513,7 +511,7 @@ class SupervisedBackend:
         ):
             yield plan.offset, plan.jobs
 
-    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool = True) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int) -> list[Any]:
         self.last_cache_stats = dict(_ZERO_STATS)
         self.last_report = SupervisionReport(jobs=len(jobs))
         self.last_dispatch = {}
@@ -530,7 +528,7 @@ class SupervisedBackend:
         # so deduplication can never hide it — it just quarantines
         # every duplicate slot.
         unique, slots, _ = intern_jobs(self.workload, jobs)
-        run = _Supervision(self, fuel, compiled)
+        run = _Supervision(self, fuel)
         try:
             with OBS.span("batch.supervised", backend=self.name, jobs=len(jobs)):
                 out_unique = run.run(unique)
@@ -577,12 +575,9 @@ class SupervisedBackend:
         # into this list, slot by slot, after a fix.
         self._last_results = out
         self._last_fuel = fuel
-        self._last_compiled = compiled
         return out
 
-    def replay_dead_letters(
-        self, *, fuel: int | None = None, compiled: bool | None = None
-    ) -> list[Any]:
+    def replay_dead_letters(self, *, fuel: int | None = None) -> list[Any]:
         """Re-execute the last run's quarantined jobs; merge what recovers.
 
         The deliberate path after a fix: the inner backend's pool is
@@ -593,8 +588,7 @@ class SupervisedBackend:
         Recovered results are merged into the last ``execute``'s result
         list *in index order*, ``last_report.quarantined`` shrinks to
         the letters that still stand, and the merged list is returned.
-        ``fuel``/``compiled`` default to the values of the run that
-        quarantined them.
+        ``fuel`` defaults to the value of the run that quarantined them.
 
         The replay's own supervision report (retries, restarts, its
         still-dead letters) is kept on ``last_replay_report``.
@@ -604,12 +598,11 @@ class SupervisedBackend:
             self.last_replay_report = None
             return list(self._last_results)
         replay_fuel = fuel if fuel is not None else (self._last_fuel or 10_000)
-        replay_compiled = compiled if compiled is not None else self._last_compiled
         self.recover()  # fresh generation for the second chance
         # Dedup by content: the expanded duplicate slots of one poison
         # job replay it once and share the outcome.
         unique, slots, _ = intern_jobs(self.workload, [l.job for l in letters])
-        run = _Supervision(self, replay_fuel, replay_compiled)
+        run = _Supervision(self, replay_fuel)
         try:
             with OBS.span(
                 "supervisor.replay", backend=self.name, jobs=len(letters)

@@ -131,16 +131,14 @@ class Multicore:
         inputs: Sequence[str],
         *,
         fuel: int = 10_000,
-        compiled: bool = True,
         backend: str = "serial",
         cost_per_step: float = 1.0,
     ) -> MulticoreRun:
         """Execute Turing-machine jobs on the simulated cores.
 
-        The *answers* come from the real engine — the compiled tables
-        of :mod:`repro.perf` by default (``compiled=False`` uses the
-        reference interpreter; ``backend="process"`` fans the actual
-        execution over a process pool).  The *cost model* is then
+        The *answers* come from the real engine — the runtime's compiled
+        tables of :mod:`repro.perf` (``backend="process"`` fans the
+        actual execution over a process pool).  The *cost model* is then
         applied by replaying each job's true step count through the
         same epoch scheduler ``run`` uses, so contention and
         utilisation numbers stay comparable with StepAlgorithm
@@ -151,13 +149,7 @@ class Multicore:
             raise ValueError("one input per machine required")
         from repro.runtime import run_jobs
 
-        results = run_jobs(
-            "machines",
-            list(zip(machines, inputs)),
-            fuel=fuel,
-            compiled=compiled,
-            backend=backend,
-        )
+        results = run_jobs("machines", list(zip(machines, inputs)), fuel=fuel, backend=backend)
 
         def countdown(result):
             def factory(_ignored: Any):

@@ -36,7 +36,6 @@ def run_many(
     jobs: Sequence[TMJob],
     *,
     fuel: int = 10_000,
-    compiled: bool = True,
     backend: str | Backend = "serial",
 ) -> list[TMResult]:
     """Run every (machine, tape_input) job; results keep job order.
@@ -57,10 +56,8 @@ def run_many(
     """
     backend, owned = resolve_backend(backend, workload=MACHINES)
     try:
-        with OBS.span(
-            "batch.run_many", backend=backend.name, jobs=len(jobs), compiled=compiled
-        ):
-            results = backend.execute(jobs, fuel=fuel, compiled=compiled)
+        with OBS.span("batch.run_many", backend=backend.name, jobs=len(jobs)):
+            results = backend.execute(jobs, fuel=fuel)
             if OBS.enabled:
                 # One atomic burst: a concurrent snapshot never sees
                 # tm_jobs_total bumped with tm_steps_total still stale.

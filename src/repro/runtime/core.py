@@ -88,14 +88,38 @@ class ProgramNotResident(RuntimeError):
     """
 
 
+#: The resident of a program whose ``prepare`` raised ``ValueError``
+#: (the TM adapter's answer to an uncompilable alphabet): its jobs run
+#: on ``run_direct``.  Tables keep it like any resident.
+_UNPREPARABLE = object()
+
+
+def _prepare(workload: Workload, program: Any) -> Any:
+    """``program``'s resident, or :data:`_UNPREPARABLE` if ``prepare``
+    raises ``ValueError``: the one place a job's run path is decided.
+    Every resident table calls it once per program."""
+    try:
+        return workload.prepare(program)
+    except ValueError:
+        return _UNPREPARABLE
+
+
+def _run_resident(workload: Workload, resident: Any, program: Any, input: Any, fuel: int) -> Any:
+    """One job on its resident; on ``run_direct`` if there is none."""
+    if resident is _UNPREPARABLE:
+        return workload.run_direct(program, input, fuel)
+    return workload.execute(resident, input, fuel)
+
+
 class ResidentCache:
     """A keyed LRU cache of prepared (resident) programs.
 
     Keys are the workload's ``program_key`` — program *content*, not
     identity — so a program decoded twice from the same description
-    still hits.  ``get`` lets the adapter's ``prepare`` raise (the TM
-    adapter raises ``ValueError`` for uncompilable alphabets); callers
-    fall back to ``run_direct``.
+    still hits.  A program whose ``prepare`` raised ``ValueError`` is
+    cached too, as :data:`_UNPREPARABLE`: ``resident`` returns that
+    marker and ``get`` raises ``ValueError`` on every probe, while
+    ``prepare`` ran only on the first.
     """
 
     def __init__(self, workload: Workload, maxsize: int = 128) -> None:
@@ -110,7 +134,9 @@ class ResidentCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, program: Any) -> Any:
+    def resident(self, program: Any) -> Any:
+        """The program's resident or :data:`_UNPREPARABLE`, prepared on
+        the first probe of its key."""
         key = self.workload.program_key(program)
         entry = self._entries.get(key)
         if entry is not None:
@@ -118,10 +144,16 @@ class ResidentCache:
             self._entries.move_to_end(key)
             return entry
         self.misses += 1
-        entry = self.workload.prepare(program)
-        self._entries[key] = entry
+        entry = self._entries[key] = _prepare(self.workload, program)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
+        return entry
+
+    def get(self, program: Any) -> Any:
+        """The program's resident; ``ValueError`` if it is unpreparable."""
+        entry = self.resident(program)
+        if entry is _UNPREPARABLE:
+            raise ValueError(f"{self.workload.kind} program is unpreparable")
         return entry
 
     def stats(self) -> dict[str, int]:
@@ -170,29 +202,21 @@ def run_job_loop(
     workload: Workload,
     jobs: Sequence[Job],
     fuel: int,
-    compiled: bool,
+    *,
     cache: ResidentCache | None = None,
 ) -> list[Any]:
     """The shared inner loop: run jobs in order, reusing residents."""
-    if not compiled:
-        return [workload.run_direct(program, input, fuel) for program, input in jobs]
     cache = cache if cache is not None else ResidentCache(workload)
-    out = []
-    for program, input in jobs:
-        try:
-            resident = cache.get(program)
-        except ValueError:  # unpreparable program: direct fallback
-            out.append(workload.run_direct(program, input, fuel))
-            continue
-        out.append(workload.execute(resident, input, fuel))
-    return out
+    return [
+        _run_resident(workload, cache.resident(program), program, input, fuel)
+        for program, input in jobs
+    ]
 
 
 def _run_chunk(
     workload: Workload,
     jobs: Sequence[Job],
     fuel: int,
-    compiled: bool,
     cache: ResidentCache,
 ) -> tuple[list[Any], dict[str, int], float]:
     """Run one chunk in-process through ``cache``: ``(results, stats, seconds)``.
@@ -204,7 +228,7 @@ def _run_chunk(
     """
     hits, misses = cache.hits, cache.misses
     start = time.perf_counter()
-    results = run_job_loop(workload, jobs, fuel, compiled, cache)
+    results = run_job_loop(workload, jobs, fuel, cache=cache)
     stats = {"hits": cache.hits - hits, "misses": cache.misses - misses, "size": len(cache)}
     return results, stats, time.perf_counter() - start
 
@@ -220,7 +244,6 @@ def _run_chunk(
 # inside a chunk payload (at most once per chunk for an unseeded
 # program).  Preparation is lazy and counted as a miss in the chunk
 # that triggers it; later jobs on the same worker are hits.
-_UNPREPARABLE = object()
 _WORKER: dict = {"generation": -1, "programs": {}, "machines": {}}
 
 
@@ -237,7 +260,6 @@ def _execute_entries(
     entries: Sequence[tuple[int, Any]],
     shipped: Mapping[int, Any],
     fuel: int,
-    compiled: bool,
     table: dict | None = None,
 ) -> tuple[list[Any], dict[str, int], float]:
     """Serve interned entries from the worker's resident table.
@@ -266,29 +288,16 @@ def _execute_entries(
     hits = misses = 0
     results: list[Any] = []
     for pid, input in entries:
-        if not compiled:
-            source = machines.get(pid)
-            if source is None:
-                raise ProgramNotResident(f"program {pid} not resident (gen {generation})")
-            results.append(workload.run_direct(source, input, fuel))
-            continue
         resident = programs.get(pid)
         if resident is None:
             source = machines.get(pid)
             if source is None:
                 raise ProgramNotResident(f"program {pid} not resident (gen {generation})")
             misses += 1
-            try:
-                resident = workload.prepare(source)
-            except ValueError:  # unpreparable program: direct fallback
-                resident = _UNPREPARABLE
-            programs[pid] = resident
+            resident = programs[pid] = _prepare(workload, source)
         else:
             hits += 1
-        if resident is _UNPREPARABLE:
-            results.append(workload.run_direct(machines[pid], input, fuel))
-        else:
-            results.append(workload.execute(resident, input, fuel))
+        results.append(_run_resident(workload, resident, machines[pid], input, fuel))
     stats = {"hits": hits, "misses": misses, "size": len(programs)}
     return results, stats, time.perf_counter() - start
 
@@ -296,8 +305,8 @@ def _execute_entries(
 def _run_workload_chunk(payload) -> tuple[list[Any], dict[str, int], float]:
     """Interned chunk entry point: ``(results, cache stats, seconds)``.
 
-    ``payload`` is ``(workload, generation, entries, shipped, fuel,
-    compiled)`` plus an optional trailing
+    ``payload`` is ``(workload, generation, entries, shipped, fuel)``
+    plus an optional trailing
     :class:`~repro.obs.telemetry.TraceContext`, possibly pre-pickled:
     the master pickles it up front to measure the bytes it ships (and
     to pickle shipped programs exactly once), so unwrap before
@@ -306,13 +315,13 @@ def _run_workload_chunk(payload) -> tuple[list[Any], dict[str, int], float]:
     """
     if isinstance(payload, bytes):
         payload = pickle.loads(payload)
-    workload, generation, entries, shipped, fuel, compiled = payload[:6]
-    ctx = payload[6] if len(payload) > 6 else None
+    workload, generation, entries, shipped, fuel = payload[:5]
+    ctx = payload[5] if len(payload) > 5 else None
     if ctx is None:
-        return _execute_entries(workload, generation, entries, shipped, fuel, compiled)
+        return _execute_entries(workload, generation, entries, shipped, fuel)
     return run_captured(
         ctx,
-        lambda: _execute_entries(workload, generation, entries, shipped, fuel, compiled),
+        lambda: _execute_entries(workload, generation, entries, shipped, fuel),
         kind=workload.kind,
         jobs=len(entries),
     )
@@ -338,7 +347,7 @@ class Backend(Protocol):
     workload: Workload
     last_cache_stats: dict[str, int]
 
-    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool) -> list[Any]: ...
+    def execute(self, jobs: Sequence[Job], *, fuel: int) -> list[Any]: ...
 
 
 class SerialBackend:
@@ -359,9 +368,7 @@ class SerialBackend:
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
         self.last_dispatch: dict[str, int] = {}
 
-    def submit_chunk(
-        self, chunk: Sequence[Job], *, fuel: int, compiled: bool
-    ) -> Future:
+    def submit_chunk(self, chunk: Sequence[Job], *, fuel: int) -> Future:
         """Run one chunk inline; return it as an already-settled future.
 
         Same payload as the process backend's workers (stats and wall
@@ -377,7 +384,7 @@ class SerialBackend:
             future.set_result(
                 run_captured(
                     current_context(),
-                    lambda: _run_chunk(self.workload, chunk, fuel, compiled, self.residents),
+                    lambda: _run_chunk(self.workload, chunk, fuel, self.residents),
                     kind=self.workload.kind,
                     jobs=len(chunk),
                 )
@@ -394,7 +401,7 @@ class SerialBackend:
         enter_close(self)
         self.residents = ResidentCache(self.workload)
 
-    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int) -> list[Any]:
         # Reset at entry so a failing run can't leave the previous
         # run's tallies visible.
         self.last_cache_stats = dict(_ZERO_STATS)
@@ -402,15 +409,14 @@ class SerialBackend:
         unique, slots, _ = intern_jobs(self.workload, jobs)
         with OBS.span("batch.chunk", backend=self.name, jobs=len(jobs)):
             unique_results, stats, elapsed = _run_chunk(
-                self.workload, unique, fuel, compiled, self.residents
+                self.workload, unique, fuel, self.residents
             )
         results = [unique_results[s] for s in slots]
         # A deduped duplicate reused a prepared program without even a
-        # cache probe — the purest hit there is — so it counts as one
-        # (in compiled mode; direct mode has no residents to reuse).
+        # cache probe — the purest hit there is — so it counts as one.
         deduped = len(jobs) - len(unique)
         self.last_cache_stats = {
-            "hits": stats["hits"] + (deduped if compiled else 0),
+            "hits": stats["hits"] + deduped,
             "misses": stats["misses"],
             "size": stats["size"],
         }
@@ -588,7 +594,7 @@ class Coordinator:
 
     # -- chunk-level API (the supervision surface) ---------------------------
 
-    def submit_chunk(self, chunk: Sequence[Job], *, fuel: int, compiled: bool) -> Future:
+    def submit_chunk(self, chunk: Sequence[Job], *, fuel: int) -> Future:
         """Submit one chunk to its first program's home lane.
 
         The chunk is interned on the way in (compact ids, resident
@@ -610,7 +616,7 @@ class Coordinator:
             if not alive:
                 raise self._lost[0]("all lanes lost")
             lane = alive[lane % len(alive)]
-        future, _ = self._submit_entries(lane, entries, fuel=fuel, compiled=compiled)
+        future, _ = self._submit_entries(lane, entries, fuel=fuel)
         self._trim()
         return future
 
@@ -630,7 +636,7 @@ class Coordinator:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int) -> list[Any]:
         # Reset at entry: a chunk that raises mid-batch used to leave
         # the previous run's tallies behind.
         self.last_cache_stats = dict(_ZERO_STATS)
@@ -645,9 +651,9 @@ class Coordinator:
         unique_results: list[Any] = [None] * len(unique)
         pending: list[int] = []
         for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
-            memoed = self._memo.get((pid, input, fuel, compiled))
+            memoed = self._memo.get((pid, input, fuel))
             if memoed is not None:
-                self._memo.move_to_end((pid, input, fuel, compiled))
+                self._memo.move_to_end((pid, input, fuel))
                 unique_results[u] = memoed
             else:
                 pending.append(u)
@@ -666,18 +672,19 @@ class Coordinator:
                     **self._labels,
                 ):
                     chunks, steals, payload_bytes = self._dispatch(
-                        pending, unique, pids, unique_results, settler, fuel, compiled
+                        pending, unique, pids, unique_results, settler, fuel
                     )
         finally:
             # The batch has settled, so no id it used is needed again.
             self._trim()
             # Failure-safe: on an exception this reflects exactly the
-            # chunks that completed, never the previous run.
+            # chunks that completed, never the previous run.  A duplicate
+            # of a job whose chunk completed reused its resident: a hit.
             executed = set(pending)
-            dup_of_executed = sum(1 for s in slots if s in executed) - len(executed)
+            ran = {u for u in pending if unique_results[u] is not None}
             memo_hits = sum(1 for s in slots if s not in executed)
             self.last_cache_stats = {
-                "hits": aggregate["hits"] + (dup_of_executed if compiled else 0),
+                "hits": aggregate["hits"] + sum(1 for s in slots if s in ran) - len(ran),
                 "misses": aggregate["misses"],
                 "size": aggregate["size"],
             }
@@ -700,7 +707,7 @@ class Coordinator:
             raise RuntimeError("dispatch completed with unfilled result slots")
         for u, (pid, (_, input)) in enumerate(zip(pids, unique)):
             if self.memo_size and unique_results[u] is not None:
-                self._memo[(pid, input, fuel, compiled)] = unique_results[u]
+                self._memo[(pid, input, fuel)] = unique_results[u]
         while len(self._memo) > self.memo_size:
             self._memo.popitem(last=False)
         if OBS.enabled:
@@ -725,7 +732,6 @@ class Coordinator:
         unique_results: list[Any],
         settler: ChunkSettler,
         fuel: int,
-        compiled: bool,
     ) -> tuple[int, int, int]:
         """Drive the lanes over ``pending``; ``(chunks, steals, payload_bytes)``.
 
@@ -784,9 +790,7 @@ class Coordinator:
             for q in queues:
                 q.clear()
             chunk = [unique[u] for u in leftovers]
-            results, stats, _ = _run_chunk(
-                self.workload, chunk, fuel, compiled, ResidentCache(self.workload)
-            )
+            results, stats, _ = _run_chunk(self.workload, chunk, fuel, ResidentCache(self.workload))
             scatter(leftovers, results)
             settler.absorb_stats(stats)
             self.degraded_jobs += len(leftovers)
@@ -816,9 +820,7 @@ class Coordinator:
                             break
                         entries = [(pids[u], unique[u][1]) for u in span]
                         try:
-                            future, size = self._submit_entries(
-                                lane, entries, fuel=fuel, compiled=compiled
-                            )
+                            future, size = self._submit_entries(lane, entries, fuel=fuel)
                         except self._lost:
                             requeue(lane, span)
                             break  # lost at submit; the next pass restarts it
@@ -957,12 +959,11 @@ class ProcessBackend(Coordinator):
         entries: Sequence[tuple[int, Any]],
         *,
         fuel: int,
-        compiled: bool,
     ) -> tuple[Future, int]:
         """Submit interned entries; returns ``(future, payload_bytes)``."""
         shipped = self._shipped(lane, entries)
         ctx = current_context()
-        payload = (self.workload, self.generation, tuple(entries), shipped, fuel, compiled)
+        payload = (self.workload, self.generation, tuple(entries), shipped, fuel)
         if ctx is not None:
             payload = (*payload, ctx)
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -1152,7 +1153,6 @@ def run_jobs(
     jobs: Sequence[Job],
     *,
     fuel: int = 10_000,
-    compiled: bool = True,
     backend: str | Backend = "serial",
 ) -> list[Any]:
     """Run every ``(program, input)`` job; results keep job order.
@@ -1176,13 +1176,9 @@ def run_jobs(
     backend, owned = resolve_backend(backend, workload=workload)
     try:
         with OBS.span(
-            "runtime.run_jobs",
-            workload=workload.kind,
-            backend=backend.name,
-            jobs=len(jobs),
-            compiled=compiled,
+            "runtime.run_jobs", workload=workload.kind, backend=backend.name, jobs=len(jobs)
         ):
-            results = backend.execute(jobs, fuel=fuel, compiled=compiled)
+            results = backend.execute(jobs, fuel=fuel)
             if OBS.enabled:
                 labels = {"workload": workload.kind, "backend": backend.name}
                 summary = getattr(backend, "last_dispatch", None)

@@ -131,7 +131,7 @@ class EnsembleBackend:
 
     # -- chunk-level API (the supervision surface) ---------------------------
 
-    def submit_chunk(self, chunk: Sequence[Job], *, fuel: int, compiled: bool) -> Future:
+    def submit_chunk(self, chunk: Sequence[Job], *, fuel: int) -> Future:
         """Run one chunk inline; settled-future semantics like
         :meth:`SerialBackend.submit_chunk`, so a supervisor can drive
         the ensemble path through the same event loop."""
@@ -139,7 +139,7 @@ class EnsembleBackend:
 
         def body() -> tuple[list[Any], dict[str, int], float]:
             start = time.perf_counter()
-            results, stats = self._run(chunk, fuel=fuel, compiled=compiled)
+            results, stats = self._run(chunk, fuel=fuel)
             return results, stats, time.perf_counter() - start
 
         try:
@@ -166,9 +166,7 @@ class EnsembleBackend:
 
     # -- execution -----------------------------------------------------------
 
-    def _run(
-        self, jobs: Sequence[Job], *, fuel: int, compiled: bool
-    ) -> tuple[list[Any], dict[str, int]]:
+    def _run(self, jobs: Sequence[Job], *, fuel: int) -> tuple[list[Any], dict[str, int]]:
         """Lower, partition, run, fall back.
 
         Returns ``(results, stats)``: one exact result per job in
@@ -183,10 +181,6 @@ class EnsembleBackend:
         Jobs are content-interned first, exactly like the serial and
         process backends: equal ``(program, input)`` jobs map to one
         family row and *share one result object*.
-
-        ``compiled=False`` keeps the ``run_direct`` contract literally —
-        everything takes the fallback loop — because the caller asked for
-        the reference path, not an equivalent one.
 
         When every job's program ``is`` the one at the same position
         in the previous lowering (with an equal input), that family
@@ -209,26 +203,25 @@ class EnsembleBackend:
         unique, slots, keys = intern_jobs(workload, jobs)
         stats["unique_jobs"] = len(unique)
         stats["deduped"] = len(jobs) - len(unique)
-        if compiled:
-            # A deduped duplicate reuses a settled row without even a
-            # cache probe — the purest hit there is (mirrors SerialBackend).
-            stats["hits"] += stats["deduped"]
-            # Run every job on the first program with its key, as the
-            # serial path runs them all on that program's one resident:
-            # content-equal machines then decode to the same objects.
-            # In place: a new list of 10^4 job tuples can set off a
-            # full garbage collection mid-census.
-            first: dict[Any, Any] = {}
-            for u, key in enumerate(keys):
-                program, input = unique[u]
-                if first.setdefault(key, program) is not program:
-                    unique[u] = (first[key], input)
+        # A deduped duplicate reuses a settled row without even a
+        # cache probe — the purest hit there is (mirrors SerialBackend).
+        stats["hits"] += stats["deduped"]
+        # Run every job on the first program with its key, as the
+        # serial path runs them all on that program's one resident:
+        # content-equal machines then decode to the same objects.
+        # In place: a new list of 10^4 job tuples can set off a
+        # full garbage collection mid-census.
+        first: dict[Any, Any] = {}
+        for u, key in enumerate(keys):
+            program, input = unique[u]
+            if first.setdefault(key, program) is not program:
+                unique[u] = (first[key], input)
         unique_results: list[Any] = [None] * len(unique)
         row_of_unique = [-1] * len(unique)
 
         # -- lower the whole family at once, lock-step the rows that fit -----
         ran_family = False
-        if compiled and len(unique) >= self.min_population:
+        if len(unique) >= self.min_population:
             get_machine = workload.ensemble_program
             lowered = []
             for program, input in unique:
@@ -268,7 +261,7 @@ class EnsembleBackend:
         fallback = [u for u, row in enumerate(row_of_unique) if row < 0]
         if fallback:
             fb_jobs = [unique[u] for u in fallback]
-            fb_results, fb, _ = _run_chunk(workload, fb_jobs, fuel, compiled, self.residents)
+            fb_results, fb, _ = _run_chunk(workload, fb_jobs, fuel, self.residents)
             for u, result in zip(fallback, fb_results):
                 unique_results[u] = result
             stats["hits"] += fb["hits"]
@@ -284,12 +277,12 @@ class EnsembleBackend:
             stats["fallback_jobs"] = len(jobs)
         return results, stats
 
-    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool = True) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int) -> list[Any]:
         self.last_cache_stats = dict(_ZERO_STATS)
         self.last_dispatch = {}
         start = time.perf_counter()
         with OBS.span("batch.ensemble", backend=self.name, jobs=len(jobs)):
-            results, stats = self._run(jobs, fuel=fuel, compiled=compiled)
+            results, stats = self._run(jobs, fuel=fuel)
         elapsed = time.perf_counter() - start
         self.last_cache_stats = {
             "hits": stats["hits"],

@@ -88,8 +88,7 @@ def journal_key(workload: Workload, job: Job, fuel: int) -> str:
     """Full-width digest identifying one job's answer.
 
     The key covers the workload kind, the adapter's ``content_key`` and
-    the fuel bound — everything the result depends on (``compiled`` is
-    excluded by the runtime's byte-identical promise).  Unlike the
+    the fuel bound — everything the result depends on.  Unlike the
     12-char trace digests, exactly-once dedup gets the whole sha1:
     serving a wrong result on a collision would be silent corruption.
 
@@ -402,7 +401,7 @@ class JournaledBackend:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, jobs: Sequence[Job], *, fuel: int, compiled: bool = True) -> list[Any]:
+    def execute(self, jobs: Sequence[Job], *, fuel: int) -> list[Any]:
         from repro.faults.supervisor import DeadLetter
 
         self.last_cache_stats = dict(_core._ZERO_STATS)
@@ -445,7 +444,7 @@ class JournaledBackend:
                 with OBS.span(
                     "journal.commit", commit=commits, jobs=len(batch)
                 ):
-                    self._commit(batch, jobs, out, dispatched, fuel=fuel, compiled=compiled)
+                    self._commit(batch, jobs, out, dispatched, fuel=fuel)
             # The final slice's completions have no next barrier to ride;
             # make them durable before the results leave this call.
             self.journal.sync()
@@ -471,7 +470,6 @@ class JournaledBackend:
         dispatched: dict[str, int],
         *,
         fuel: int,
-        compiled: bool,
     ) -> None:
         """One durable slice: journal intent, run, journal outcomes.
 
@@ -489,7 +487,7 @@ class JournaledBackend:
         self.journal.sync()  # barrier: recovery will know these were in flight
         run_jobs = [jobs[slots[0]] for _, slots in batch]
         try:
-            results = self.inner.execute(run_jobs, fuel=fuel, compiled=compiled)
+            results = self.inner.execute(run_jobs, fuel=fuel)
         finally:
             inner = getattr(self.inner, "last_dispatch", None) or {}
             for name in dispatched:
@@ -528,9 +526,7 @@ class JournaledBackend:
 
     # -- deliberate recovery -------------------------------------------------
 
-    def replay_dead_letters(
-        self, *, fuel: int | None = None, compiled: bool = True
-    ) -> dict[str, Any]:
+    def replay_dead_letters(self, *, fuel: int | None = None) -> dict[str, Any]:
         """Re-execute journaled dead letters through a fresh generation.
 
         For each dead-lettered record (the pickled job rides in it),
@@ -552,7 +548,7 @@ class JournaledBackend:
         for digest, record in sorted(self._dead.items(), key=lambda kv: kv[1]["seq"]):
             job = replay_record_job(record)
             job_fuel = fuel if fuel is not None else int(record.get("fuel", 0)) or 10_000
-            results = self.inner.execute([job], fuel=job_fuel, compiled=compiled)
+            results = self.inner.execute([job], fuel=job_fuel)
             result = results[0] if results else None
             if result is None:
                 continue  # still poison; the dead letter stands

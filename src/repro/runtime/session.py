@@ -9,8 +9,8 @@ module is the incremental face over the same backends:
 
 * :meth:`Session.submit` accepts one job at a time and returns a
   :class:`JobFuture` immediately.  Submissions are **interned on
-  arrival** — an equal job (same workload kind, content key, fuel,
-  compiled flag) already pending or in flight joins the existing
+  arrival** — an equal job (same workload kind, content key and
+  fuel) already pending or in flight joins the existing
   future instead of executing twice, and a bounded settled-result memo
   extends the same guarantee across flushes.
 * A :class:`Scheduler` batches by **group commit**: whenever its
@@ -132,7 +132,7 @@ class _Bucket:
     __slots__ = ("group", "entries")
 
     def __init__(self, group: tuple) -> None:
-        self.group = group  # (kind, fuel, compiled)
+        self.group = group  # (kind, fuel)
         self.entries: list[_Entry] = []
 
 
@@ -212,13 +212,12 @@ class Scheduler:
         job: Job,
         *,
         fuel: int,
-        compiled: bool = True,
         priority: str = BULK,
     ) -> JobFuture:
         """Intern one job; returns its (possibly shared) future."""
         if priority not in _PRIORITIES:
             raise ValueError(f"priority must be one of {sorted(_PRIORITIES)}")
-        key = (workload.kind, workload.content_key(job), fuel, compiled)
+        key = (workload.kind, workload.content_key(job), fuel)
         now = time.monotonic()
         with self._lock:
             if self._stopped:
@@ -245,7 +244,7 @@ class Scheduler:
             self._inflight_jobs += 1
             if OBS.enabled:
                 OBS.gauge("runtime_inflight_jobs", self._inflight_jobs)
-            group = (workload.kind, fuel, compiled)
+            group = (workload.kind, fuel)
             # Wake the dispatcher only when its wait state changed — a
             # new bucket or a dispatchable unit.  An open bucket means
             # the dispatcher is running a unit or already woken, and
@@ -333,7 +332,7 @@ class Scheduler:
                     self._idle.notify_all()
 
     def _run_unit(self, unit: _FlushUnit) -> None:
-        kind, fuel, compiled = unit.group
+        kind, fuel = unit.group
         entries = unit.entries
         now = time.monotonic()
         if OBS.enabled:
@@ -352,9 +351,7 @@ class Scheduler:
                 reason=unit.reason,
                 priority=unit.priority,
             ):
-                results = backend.execute(
-                    [entry.job for entry in entries], fuel=fuel, compiled=compiled
-                )
+                results = backend.execute([entry.job for entry in entries], fuel=fuel)
         except BaseException as exc:
             self._settle_error(entries, exc)
             return
@@ -520,7 +517,6 @@ class Session:
         payload: Job,
         *,
         fuel: int = 10_000,
-        compiled: bool = True,
         priority: str = BULK,
     ) -> JobFuture:
         """Submit one ``(program, input)`` job; returns its future.
@@ -528,9 +524,7 @@ class Session:
         ``priority="latency"`` puts the job in the latency class: it
         skips the buckets and preempts queued bulk work.
         """
-        return self.scheduler.submit(
-            self._workload(kind), payload, fuel=fuel, compiled=compiled, priority=priority
-        )
+        return self.scheduler.submit(self._workload(kind), payload, fuel=fuel, priority=priority)
 
     def flush(self) -> None:
         """Force open buckets out without waiting for settlement."""
@@ -546,7 +540,6 @@ class Session:
         jobs: Sequence[Job],
         *,
         fuel: int = 10_000,
-        compiled: bool = True,
     ) -> list[Any]:
         """One-shot convenience: submit all, drain, results in job order.
 
@@ -555,9 +548,7 @@ class Session:
         to driving ``backend.execute`` directly, for every adapter and
         every backend string.
         """
-        futures = [
-            self.submit(kind, job, fuel=fuel, compiled=compiled) for job in jobs
-        ]
+        futures = [self.submit(kind, job, fuel=fuel) for job in jobs]
         self.flush()
         return [future.result() for future in futures]
 

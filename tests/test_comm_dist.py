@@ -139,9 +139,9 @@ def test_warm_second_sweep_serves_from_memo_without_chunks():
     jobs = [(palindrome_checker(), "abba"), (binary_increment(), "1011")]
     backend = loopback_backend(MACHINES)
     try:
-        first = backend.execute(jobs, fuel=FUEL, compiled=True)
+        first = backend.execute(jobs, fuel=FUEL)
         assert backend.last_dispatch["chunks"] >= 1
-        again = backend.execute(jobs, fuel=FUEL, compiled=True)
+        again = backend.execute(jobs, fuel=FUEL)
         assert per_result_pickles(again) == per_result_pickles(first)
         assert backend.last_dispatch["chunks"] == 0
         assert backend.last_dispatch["memo_hits"] == len(jobs)

@@ -78,13 +78,13 @@ def test_schedule_validation():
 
 
 def test_valid_payload_accepts_real_chunk():
-    payload = SerialBackend(MACHINES).submit_chunk(JOBS, fuel=1000, compiled=True).result()
+    payload = SerialBackend(MACHINES).submit_chunk(JOBS, fuel=1000).result()
     assert valid_payload(payload, len(JOBS))
 
 
 def test_valid_payload_rejects_corruption():
     results, stats, elapsed = (
-        SerialBackend(MACHINES).submit_chunk(JOBS, fuel=1000, compiled=True).result()
+        SerialBackend(MACHINES).submit_chunk(JOBS, fuel=1000).result()
     )
     assert not valid_payload((results[:-1], stats, elapsed), len(JOBS))  # truncated
     assert not valid_payload((results + ["junk"], stats, elapsed), len(JOBS) + 1)
@@ -110,7 +110,7 @@ def test_chaos_backend_reports_table_size_not_a_sum():
     inner = ProcessBackend(MACHINES, workers=2, chunksize=2)
     try:
         chaos = ChaosBackend(inner)
-        assert chaos.execute(jobs, fuel=1000, compiled=True) == reference_results(jobs, 1000)
+        assert chaos.execute(jobs, fuel=1000) == reference_results(jobs, 1000)
         assert chaos.last_dispatch["chunks"] == 4
         assert chaos.last_cache_stats["size"] == 1
     finally:
@@ -120,20 +120,20 @@ def test_chaos_backend_reports_table_size_not_a_sum():
 def test_chaos_backend_crash_aborts_unsupervised_batch():
     chaos = ChaosBackend(SerialBackend(MACHINES), schedule=ChaosSchedule(kinds={0: "crash"}))
     with pytest.raises(WorkerCrash):
-        chaos.execute(JOBS, fuel=1000, compiled=True)
+        chaos.execute(JOBS, fuel=1000)
     assert chaos.injected["crash"] == 1
 
 
 def test_chaos_backend_timeout_aborts_unsupervised_batch():
     chaos = ChaosBackend(SerialBackend(MACHINES), schedule=ChaosSchedule(kinds={0: "timeout"}))
     with pytest.raises(ChunkTimeout):
-        chaos.execute(JOBS, fuel=1000, compiled=True)
+        chaos.execute(JOBS, fuel=1000)
 
 
 def test_chaos_backend_corruption_aborts_unsupervised_batch():
     chaos = ChaosBackend(SerialBackend(MACHINES), schedule=ChaosSchedule(kinds={0: "corrupt"}))
     with pytest.raises(ChunkCorruption):
-        chaos.execute(JOBS, fuel=1000, compiled=True)
+        chaos.execute(JOBS, fuel=1000)
 
 
 def test_poison_matched_by_content_not_identity():
@@ -142,7 +142,7 @@ def test_poison_matched_by_content_not_identity():
     assert job_key(clone) == job_key(JOBS[0])
     chaos = ChaosBackend(SerialBackend(MACHINES), poison_jobs=[clone])
     with pytest.raises(WorkerCrash):
-        chaos.execute(JOBS, fuel=1000, compiled=True)
+        chaos.execute(JOBS, fuel=1000)
     assert chaos.injected["crash"] >= 1
 
 
@@ -180,7 +180,7 @@ def test_kill_action_seam_observes_the_kill():
     # When the seam returns (a real kill never does), the dispatch
     # settles as a crash, so the batch aborts like any dead worker.
     with pytest.raises(WorkerCrash):
-        chaos.execute(JOBS, fuel=1000, compiled=True)
+        chaos.execute(JOBS, fuel=1000)
     assert seen == [KILL_EXIT_CODE]
     assert chaos.injected["kill"] == 1
 
@@ -194,7 +194,7 @@ def test_kill_code_override_reaches_the_action():
         kill_code=9,
     )
     with pytest.raises(WorkerCrash):
-        chaos.execute(JOBS, fuel=1000, compiled=True)
+        chaos.execute(JOBS, fuel=1000)
     assert seen == [9]
 
 
@@ -209,6 +209,6 @@ def test_supervisor_survives_observed_kill():
         kill_action=lambda code: None,
     )
     backend = SupervisedBackend(inner=chaos, policy=SupervisorPolicy(max_chunk_retries=2))
-    assert backend.execute(JOBS, fuel=10_000, compiled=True) == reference_results(JOBS)
+    assert backend.execute(JOBS, fuel=10_000) == reference_results(JOBS)
     assert backend.last_report.retries >= 1
     assert chaos.injected["kill"] == 1

@@ -76,7 +76,7 @@ def test_supervised_aggregates_cache_stats():
 
 def test_supervised_empty_batch():
     backend = SupervisedBackend(inner=SerialBackend(MACHINES))
-    assert backend.execute([], fuel=100, compiled=True) == []
+    assert backend.execute([], fuel=100) == []
 
 
 def test_supervised_factory_and_registry():
@@ -234,8 +234,9 @@ class ExitingMachine(TuringMachine):
 
 
 def poison_machine():
-    base = binary_increment()
-    return ExitingMachine(base.delta, base.initial, base.accept_states, base.reject_states)
+    # 300 symbols: unpreparable, so the worker runs it through run_direct.
+    symbols = [chr(0x100 + i) for i in range(300)]
+    return ExitingMachine({("s", c): ("s", c, "R") for c in symbols}, "s")
 
 
 def test_real_broken_process_pool_quarantine_and_recovery():
@@ -246,7 +247,7 @@ def test_real_broken_process_pool_quarantine_and_recovery():
         policy=SupervisorPolicy(chunksize=1, max_chunk_retries=1, max_pool_restarts=50),
     )
     jobs = [(poison_machine(), "1")]
-    results = run_many(jobs, backend=backend, compiled=False)
+    results = run_many(jobs, backend=backend)
     assert results == [None]
     report = backend.last_report
     assert report.quarantined_indices == [0]
@@ -254,7 +255,7 @@ def test_real_broken_process_pool_quarantine_and_recovery():
     assert not report.degraded
     # The same backend instance recovers for the next, healthy batch.
     healthy = JOBS[:4]
-    assert run_many(healthy, backend=backend, compiled=False) == CLEAN[:4]
+    assert run_many(healthy, backend=backend) == CLEAN[:4]
     assert backend.last_report.quarantined == []
 
 
@@ -269,7 +270,7 @@ def test_replay_dead_letters_recovers_after_fix():
         max_chunk_retries=1,
         max_pool_restarts=100,
     )
-    results = backend.execute(JOBS, fuel=10_000, compiled=True)
+    results = backend.execute(JOBS, fuel=10_000)
     assert results[poison_index] is None
     assert backend.last_report.quarantined_indices == [poison_index]
 
@@ -289,7 +290,7 @@ def test_replay_still_poison_stays_quarantined():
         max_chunk_retries=1,
         max_pool_restarts=100,
     )
-    backend.execute(JOBS, fuel=10_000, compiled=True)
+    backend.execute(JOBS, fuel=10_000)
 
     merged = backend.replay_dead_letters()  # nothing fixed: dies again
     assert merged[poison_index] is None
@@ -299,7 +300,7 @@ def test_replay_still_poison_stays_quarantined():
 
 def test_replay_with_nothing_quarantined_is_a_noop():
     backend = chaotic()
-    results = backend.execute(JOBS, fuel=10_000, compiled=True)
+    results = backend.execute(JOBS, fuel=10_000)
     assert results == CLEAN
     assert backend.replay_dead_letters() == CLEAN
     assert backend.last_replay_report is None
@@ -313,7 +314,7 @@ def test_replay_merges_multiple_letters_in_order():
         max_chunk_retries=1,
         max_pool_restarts=100,
     )
-    results = backend.execute(JOBS, fuel=10_000, compiled=True)
+    results = backend.execute(JOBS, fuel=10_000)
     assert [i for i, r in enumerate(results) if r is None] == poisoned
 
     backend.inner._poison.clear()
@@ -330,7 +331,7 @@ def test_replay_uses_a_fresh_generation():
         max_chunk_retries=1,
         max_pool_restarts=100,
     )
-    backend.execute(JOBS, fuel=10_000, compiled=True)
+    backend.execute(JOBS, fuel=10_000)
     recoveries_before = backend.inner.recoveries
     backend.inner._poison.clear()
     backend.replay_dead_letters()

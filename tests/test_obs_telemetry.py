@@ -221,6 +221,6 @@ def test_disabled_path_payloads_are_byte_identical():
     from repro.runtime.core import SerialBackend
 
     backend = SerialBackend(get_workload("machines"))
-    future = backend.submit_chunk(_jobs(2), fuel=500, compiled=True)
+    future = backend.submit_chunk(_jobs(2), fuel=500)
     results, stats, elapsed = future.result()
     assert TELEMETRY_KEY not in stats

@@ -47,10 +47,6 @@ def test_run_many_matches_reference_in_order():
     assert run_many(JOBS) == reference_results(JOBS)
 
 
-def test_run_many_reference_mode():
-    assert run_many(JOBS, compiled=False) == reference_results(JOBS)
-
-
 def test_run_many_empty():
     assert run_many([]) == []
 
@@ -162,7 +158,7 @@ def test_serial_backend_reports_delta_not_history():
 
 
 def test_serial_submit_chunk_returns_settled_future():
-    future = SerialBackend(MACHINES).submit_chunk(JOBS, fuel=10_000, compiled=True)
+    future = SerialBackend(MACHINES).submit_chunk(JOBS, fuel=10_000)
     assert future.done()
     results, stats, elapsed = future.result()
     assert results == reference_results(JOBS)
@@ -172,10 +168,10 @@ def test_serial_submit_chunk_returns_settled_future():
 def test_process_submit_chunk_and_recover():
     backend = ProcessBackend(MACHINES, workers=2)
     try:
-        first = backend.submit_chunk(JOBS[:2], fuel=10_000, compiled=True)
+        first = backend.submit_chunk(JOBS[:2], fuel=10_000)
         assert first.result()[0] == reference_results(JOBS[:2])
         backend.recover()  # discard the pool; the next submit starts fresh
-        second = backend.submit_chunk(JOBS[2:4], fuel=10_000, compiled=True)
+        second = backend.submit_chunk(JOBS[2:4], fuel=10_000)
         assert second.result()[0] == reference_results(JOBS[2:4])
     finally:
         backend.close()
@@ -190,9 +186,10 @@ class RaisingMachine(TuringMachine):
 
 
 def raising_job():
-    base = binary_increment()
-    machine = RaisingMachine(base.delta, base.initial, base.accept_states, base.reject_states)
-    return (machine, "1")
+    # 300 symbols: unpreparable, so the job runs through run_direct.
+    symbols = [chr(0x100 + i) for i in range(300)]
+    machine = RaisingMachine({("s", c): ("s", c, "R") for c in symbols}, "s")
+    return (machine, symbols[0])
 
 
 @pytest.mark.parametrize("backend_cls", [SerialBackend, ProcessBackend])
@@ -207,7 +204,7 @@ def test_backend_cache_stats_reset_on_failure(backend_cls):
     run_many(JOBS, backend=backend)
     assert backend.last_cache_stats["misses"] > 0
     with pytest.raises(RuntimeError, match="job blew up"):
-        run_many([raising_job()] * 2, backend=backend, compiled=False)
+        run_many([raising_job()] * 2, backend=backend)
     assert backend.last_cache_stats == {"hits": 0, "misses": 0, "size": 0}
 
 

@@ -223,17 +223,15 @@ def test_stale_generation_payload_resets_worker_table():
     # be served by tables installed for generation 1.
     machine = binary_increment()
     key_jobs = [(0, "1")]
-    old = _run_workload_chunk((TM_WORKLOAD, 1, key_jobs, {0: machine}, 10_000, True))
-    fresh = _run_workload_chunk((TM_WORKLOAD, 2, key_jobs, {0: machine}, 10_000, True))
+    old = _run_workload_chunk((TM_WORKLOAD, 1, key_jobs, {0: machine}, 10_000))
+    fresh = _run_workload_chunk((TM_WORKLOAD, 2, key_jobs, {0: machine}, 10_000))
     assert old[0] == fresh[0]
     assert fresh[1]["misses"] == 1  # recompiled: the gen-1 table was dropped
 
 
 def test_worker_rejects_unknown_program_id():
     with pytest.raises(ProgramNotResident):
-        _run_workload_chunk((TM_WORKLOAD, 7, [(99, "1")], {}, 10_000, True))
-    with pytest.raises(ProgramNotResident):
-        _run_workload_chunk((TM_WORKLOAD, 7, [(99, "1")], {}, 10_000, False))
+        _run_workload_chunk((TM_WORKLOAD, 7, [(99, "1")], {}, 10_000))
 
 
 def test_fork_pid_guard_rebuilds_pool():
@@ -310,16 +308,6 @@ def test_explicit_chunksize_keeps_static_split():
         run_many(jobs, backend=backend)
         assert backend.last_dispatch["chunks"] == 2
         assert backend.last_dispatch["steals"] == 0
-    finally:
-        backend.close()
-
-
-def test_process_reference_mode_uses_resident_sources():
-    backend = ProcessBackend(TM_WORKLOAD, workers=2)
-    try:
-        jobs = [(m(), "11") for m in MACHINES] * 2
-        assert run_many(jobs, backend=backend, compiled=False) == reference_results(jobs)
-        assert backend.last_cache_stats["misses"] == 0  # nothing compiled
     finally:
         backend.close()
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.obs.instrument import KNOWN_METRICS, observed
 from repro.runtime import (
+    BACKENDS,
     ProcessBackend,
     ResidentCache,
     SerialBackend,
@@ -190,11 +191,40 @@ def test_resident_cache_lets_prepare_raise():
 
 def test_run_job_loop_falls_back_to_run_direct_on_unpreparable():
     jobs = [(3, 2), (-3, 2)]  # -3 is unpreparable: ValueError from prepare
-    results = run_job_loop(SCALE, jobs, 10, True)
+    results = run_job_loop(SCALE, jobs, 10)
     assert results == [ScaleResult(12), ScaleResult(-12)]
 
 
 # -- run_jobs: semantics -----------------------------------------------------
+
+
+def test_unpreparable_program_is_prepared_once_per_key(monkeypatch):
+    """A program ``prepare`` refuses is remembered like any resident:
+    the serial backend prepares it once, as a pool worker does, and
+    both report the same tallies."""
+    from repro.complexity.sat import CNF
+    from repro.runtime.workloads.sat import SAT, SatWorkload, sat_job
+
+    formula = CNF.of([range(1, 301), [-1, -2]])  # 300 literals: unpreparable
+    jobs = [sat_job(formula), sat_job(formula, pure_literals=False)]
+    prepared = []
+    prepare = SatWorkload.prepare
+
+    def counting_prepare(self, program):
+        prepared.append(program)
+        return prepare(self, program)
+
+    monkeypatch.setattr(SatWorkload, "prepare", counting_prepare)
+    serial = SerialBackend(SAT)
+    assert serial.execute(jobs, fuel=10) == [SAT.run_direct(p, x, 10) for p, x in jobs]
+    assert len(prepared) == 1
+    process = ProcessBackend(SAT, workers=1)
+    try:
+        assert process.execute(jobs, fuel=10) == [SAT.run_direct(p, x, 10) for p, x in jobs]
+    finally:
+        process.close()
+    stats = {"hits": 1, "misses": 1, "size": 1}
+    assert serial.last_cache_stats == process.last_cache_stats == stats
 
 
 def test_run_jobs_matches_run_direct_and_shares_duplicates():
@@ -211,11 +241,6 @@ def test_run_jobs_accepts_workload_by_kind():
     machine = binary_increment()
     results = run_jobs("machines", [(machine, "101")])
     assert results == [machine.run("101", fuel=10_000)]
-
-
-def test_run_jobs_uncompiled_uses_run_direct():
-    results = run_jobs(SCALE, [(2, 5)], compiled=False)
-    assert results == [ScaleResult(20)]
 
 
 def test_run_jobs_reuses_caller_backend_without_closing_it():
@@ -251,14 +276,14 @@ def test_serial_backend_keeps_its_residents():
     one-job flushes."""
     workload = register_workload(CountingScale())
     backend = SerialBackend(workload)
-    assert backend.execute([(2, 1), (3, 1)], fuel=10, compiled=True) == [
+    assert backend.execute([(2, 1), (3, 1)], fuel=10) == [
         ScaleResult(4),
         ScaleResult(6),
     ]
-    backend.execute([(2, 2), (4, 1)], fuel=10, compiled=True)
-    results, _, _ = backend.submit_chunk([(3, 2), (5, 1)], fuel=10, compiled=True).result()
+    backend.execute([(2, 2), (4, 1)], fuel=10)
+    results, _, _ = backend.submit_chunk([(3, 2), (5, 1)], fuel=10).result()
     assert results == [ScaleResult(12), ScaleResult(10)]
-    backend.submit_chunk([(4, 2), (5, 2)], fuel=10, compiled=True).result()
+    backend.submit_chunk([(4, 2), (5, 2)], fuel=10).result()
     with Session(backend) as session:
         for job in [(2, 3), (5, 3), (6, 1)]:
             future = session.submit(workload.kind, job, fuel=10)
@@ -357,7 +382,7 @@ def test_dist_chunk_on_the_wire_cannot_be_cancelled():
         "dist", workload="machines", nodes=2, topology="single_node", workers_per_node=0
     )
     try:
-        future = backend.submit_chunk(jobs, fuel=1_000, compiled=True)
+        future = backend.submit_chunk(jobs, fuel=1_000)
         assert not future.cancel()
         results, _, _ = future.result(timeout=30)
         assert results == run_jobs("machines", jobs, fuel=1_000)
@@ -371,7 +396,7 @@ def test_supervised_backend_by_name_carries_workload():
     try:
         assert backend.workload is SCALE
         jobs = [(2, 3), (2, 3), (4, 1)]
-        assert backend.execute(jobs, fuel=10, compiled=True) == [
+        assert backend.execute(jobs, fuel=10) == [
             ScaleResult(12),
             ScaleResult(12),
             ScaleResult(8),
@@ -443,6 +468,35 @@ def test_backend_close_is_idempotent(spec, kwargs, tmp_path):
     backend.close()  # double close is a no-op by the shared guard
 
 
+def test_compiled_knob_is_gone(tmp_path):
+    """Every job runs prepared, on ``run_direct`` only when ``prepare``
+    refuses it; no entry point takes a ``compiled=`` switch."""
+    from repro.machines.turing import binary_increment
+    from repro.perf.batch import run_many
+
+    jobs = [(binary_increment(), "1")]
+    with pytest.raises(TypeError):
+        run_jobs("machines", jobs, compiled=True)
+    with pytest.raises(TypeError):
+        run_many(jobs, compiled=True)
+    with Session("serial") as session:
+        with pytest.raises(TypeError):
+            session.submit("machines", jobs[0], compiled=True)
+        with pytest.raises(TypeError):
+            session.execute("machines", jobs, compiled=True)
+    assert {param.values[0].split(":")[0] for param in CLOSE_SPECS} == set(BACKENDS)
+    for param in CLOSE_SPECS:
+        spec, kwargs = param.values
+        if spec.startswith("journaled"):
+            kwargs = dict(kwargs, journal_dir=tmp_path)
+        backend = create_backend(spec, workload="machines", **kwargs)
+        try:
+            with pytest.raises(TypeError):
+                backend.execute(jobs, fuel=10, compiled=True)
+        finally:
+            backend.close()
+
+
 def test_process_backend_close_execute_close_reopens():
     """The close guard resets when the pool lazily rebuilds."""
     from repro.machines.turing import binary_increment
@@ -451,9 +505,9 @@ def test_process_backend_close_execute_close_reopens():
     jobs = [(binary_increment(), "11")]
     try:
         backend.close()
-        first = backend.execute(jobs, fuel=1_000, compiled=True)
+        first = backend.execute(jobs, fuel=1_000)
         backend.close()  # must actually release the rebuilt pool
-        again = backend.execute(jobs, fuel=1_000, compiled=True)
+        again = backend.execute(jobs, fuel=1_000)
         assert [r.tape for r in again] == [r.tape for r in first]
     finally:
         backend.close()

@@ -360,15 +360,6 @@ def test_straggler_cutoff_reruns_abandoned_rows_exactly():
     assert backend.execute(jobs, fuel=FUEL) == reference(BUSYBEAVER, jobs)
 
 
-def test_compiled_false_takes_the_reference_path():
-    jobs = family_jobs(2, 30, seed=2)
-    backend = EnsembleBackend(BUSYBEAVER)
-    assert backend.execute(jobs, fuel=FUEL, compiled=False) == reference(
-        BUSYBEAVER, jobs
-    )
-    assert backend.last_dispatch["ensemble_jobs"] == 0
-
-
 def test_incapable_workload_rejected():
     from repro.runtime.workloads.machines import ENCODED_MACHINES
 

@@ -86,7 +86,7 @@ def one_shot(workload, jobs, **kwargs):
     """The batch oracle: a plain backend.execute of the same jobs."""
     backend = create_backend("serial", workload=workload, **kwargs)
     try:
-        return backend.execute(jobs, fuel=FUEL, compiled=True)
+        return backend.execute(jobs, fuel=FUEL)
     finally:
         backend.close()
 
@@ -110,12 +110,12 @@ class HeldBackend(SerialBackend):
         self.release = threading.Event()
         self.units = []
 
-    def execute(self, jobs, *, fuel, compiled=True):
+    def execute(self, jobs, *, fuel):
         self.units.append(list(jobs))
         self.running.set()
         if not self.release.wait(timeout=10.0):
             raise TimeoutError("held backend was never released")
-        return super().execute(jobs, fuel=fuel, compiled=compiled)
+        return super().execute(jobs, fuel=fuel)
 
 
 @pytest.fixture
@@ -336,7 +336,7 @@ def test_invalid_priority_rejected():
 
 
 class ExplodingBackend(SerialBackend):
-    def execute(self, jobs, *, fuel, compiled=True):
+    def execute(self, jobs, *, fuel):
         raise RuntimeError("boom")
 
 
@@ -375,7 +375,7 @@ def test_instance_backend_stays_open_and_kind_checked():
         with pytest.raises(ValueError, match="bound to workload"):
             session.submit("sat", _SAT_POOL[0], fuel=FUEL).result(timeout=5.0)
     # The session never owned it: still usable after session close.
-    assert backend.execute(_TM_POOL[:1], fuel=FUEL, compiled=True)
+    assert backend.execute(_TM_POOL[:1], fuel=FUEL)
 
 
 # -- recovery stories through the session path -------------------------------
