@@ -47,8 +47,12 @@ def _parse_blocks(text: str) -> dict[str, str]:
     return blocks
 
 
-def emit(experiment_id: str, table: Table | str) -> None:
+def emit(experiment_id: str, table: Table | str, *, beside: Path | None = None) -> None:
     """Print the regenerated table and persist it as an artifact.
+
+    The report is ``benchmarks/reports/<id>.txt``, or, with ``beside``
+    (a harness's ``--output`` JSON path), ``<id>.txt`` in that file's
+    directory: a redirected run leaves the tracked report alone.
 
     Idempotent: the ``[experiment_id]`` block is rewritten in place,
     so re-running a bench (even after its table's rendering changed)
@@ -59,12 +63,13 @@ def emit(experiment_id: str, table: Table | str) -> None:
     text = (table.render() if isinstance(table, Table) else str(table)).rstrip("\n")
     print(f"\n[{experiment_id}]")
     print(text)
-    REPORTS_DIR.mkdir(exist_ok=True)
-    path = REPORTS_DIR / f"{experiment_id.lower()}.txt"
+    directory = REPORTS_DIR if beside is None else Path(beside).parent
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{experiment_id.lower()}.txt"
     blocks = _parse_blocks(path.read_text()) if path.exists() else {}
     blocks[experiment_id] = text
     payload = "".join(f"[{eid}]\n{body}\n\n" for eid, body in blocks.items())
-    fd, tmp = tempfile.mkstemp(dir=REPORTS_DIR, prefix=path.name, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)

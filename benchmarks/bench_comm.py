@@ -12,10 +12,13 @@ doesn't work.  This harness keeps the three promises of
    over the same jobs must be served entirely from the coordinator
    memo (zero chunks on the wire).
 2. **Node-kill recovery gate** — a chaos-scheduled ``node_kill`` fault
-   SIGKILLs (loopback: slams the socket of) one node mid-sweep.  The
-   sweep must return *exactly* the clean run's results: nothing lost
-   (no unfilled slots), nothing double-applied (``duplicate_results ==
-   0``), with at least one node restart actually exercised.
+   SIGKILLs (loopback: slams the socket of) the node a chunk is routed
+   to, mid-sweep, under the production recovery stack:
+   ``SupervisedBackend(ChaosBackend(DistBackend(...)))``.  The sweep
+   must return *exactly* the clean run's results: nothing lost (no
+   unfilled slots), nothing double-applied (``duplicate_results ==
+   0``), with at least one node restart actually exercised (read from
+   ``DistBackend.node_restarts``).
 3. **Throughput gate** — on quadratic-work jobs at 2 nodes x 2
    workers (``hierarchical`` topology: one subprocess per node, each
    hosting a warm pool), distributed throughput must reach >= 1.6x a
@@ -50,7 +53,8 @@ sys.path.insert(0, str(_HERE.parent / "src"))  # repro without installing
 from _common import Table, emit  # noqa: E402
 
 from repro.comm.dist import DistBackend  # noqa: E402
-from repro.faults.chaos import ChaosSchedule  # noqa: E402
+from repro.faults.chaos import ChaosBackend, ChaosSchedule  # noqa: E402
+from repro.faults.supervisor import SupervisedBackend, SupervisorPolicy  # noqa: E402
 from repro.machines.turing import binary_increment, copier, palindrome_checker  # noqa: E402
 from repro.runtime.core import ProcessBackend, SerialBackend  # noqa: E402
 from repro.runtime.workloads.machines import MACHINES  # noqa: E402
@@ -116,25 +120,24 @@ def byte_identity_check(smoke: bool) -> dict:
 
 
 def node_kill_check(smoke: bool) -> dict:
-    """Kill one node mid-sweep; the recovery must be exact."""
+    """Kill one node mid-sweep under the supervisor; the recovery must
+    be exact."""
     jobs = mixed_jobs(24 if smoke else 96)
     fuel = 50_000
     clean = SerialBackend(MACHINES).execute(jobs, fuel=fuel)
-    backend = DistBackend(
-        MACHINES,
-        nodes=2,
-        topology="single_node",
-        workers_per_node=0,
-        chunksize=3,
-        chaos=ChaosSchedule(kinds={1: "node_kill"}),
+    dist = DistBackend(MACHINES, nodes=2, topology="single_node", workers_per_node=0)
+    backend = SupervisedBackend(
+        ChaosBackend(dist, schedule=ChaosSchedule(kinds={1: "node_kill"})),
+        policy=SupervisorPolicy(chunksize=3),
     )
     try:
         out = backend.execute(jobs, fuel=fuel)
-        dispatch = dict(backend.last_dispatch)
+        report = backend.last_report
         identical = per_result_pickles(out) == per_result_pickles(clean)
         lost = sum(1 for r in out if r is None)
-        duplicated = backend.duplicate_results
-        stale = backend.stale_results
+        duplicated = dist.duplicate_results
+        stale = dist.stale_results
+        restarts = dist.node_restarts
     finally:
         backend.close()
     return {
@@ -146,12 +149,13 @@ def node_kill_check(smoke: bool) -> dict:
         "lost_results": lost,
         "duplicate_results": duplicated,
         "stale_replies_discarded": stale,
-        "node_restarts": dispatch.get("node_restarts", 0),
-        "degraded_jobs": dispatch.get("degraded_jobs", 0),
-        "chunks": dispatch.get("chunks", 0),
+        "node_restarts": restarts,
+        "retries": report.retries,
+        "degraded": report.degraded,
+        "chunks": report.chunks,
         # The gate: exact results, a real restart, no double-apply.
         "exact": identical and lost == 0 and duplicated == 0,
-        "restarted": dispatch.get("node_restarts", 0) >= 1,
+        "restarted": restarts >= 1,
     }
 
 
@@ -243,8 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=ROOT / "BENCH_comm.json",
-        help="where to write the JSON artifact",
+        help="write the JSON artifact here and the report table beside it"
+        " (default: BENCH_comm.json at the repo root, the table under"
+        " benchmarks/reports/)",
     )
     args = parser.parse_args(argv)
 
@@ -305,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
             f">= {MIN_SPEEDUP}x",
             "PASS" if throughput_ok else "FAIL",
         )
-    emit("CM1", table)
+    emit("CM1", table, beside=args.output)
 
     payload = {
         "harness": "benchmarks/bench_comm.py",
@@ -325,8 +330,9 @@ def main(argv: list[str] | None = None) -> int:
             "passed": identity_ok and kill_ok and throughput_ok,
         },
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
+    output = args.output or ROOT / "BENCH_comm.json"
+    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {output}")
 
     if not identity_ok:
         print(f"FAIL: byte-identity invariants violated: {identity}", file=sys.stderr)

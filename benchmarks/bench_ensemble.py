@@ -141,8 +141,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=ROOT / "BENCH_ensemble.json",
-        help="where to write the JSON artifact",
+        help="write the JSON artifact here and the report table beside it"
+        " (default: BENCH_ensemble.json at the repo root, the table under"
+        " benchmarks/reports/)",
     )
     args = parser.parse_args(argv)
     required = SMOKE_REQUIRED_SPEEDUP if args.smoke else FULL_REQUIRED_SPEEDUP
@@ -162,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         r["ensemble_warm_seconds"], f"{r['cold_speedup']:.1f}x",
         f"{r['warm_speedup']:.1f}x",
     )
-    emit("EN1", table)
+    emit("EN1", table, beside=args.output)
 
     passed = r["warm_speedup"] >= required
     payload = {
@@ -177,8 +178,9 @@ def main(argv: list[str] | None = None) -> int:
             "passed": passed,
         },
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
+    output = args.output or ROOT / "BENCH_ensemble.json"
+    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {output}")
 
     if not passed:
         print(

@@ -161,8 +161,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=ROOT / "BENCH_fault_recovery.json",
-        help="where to write the JSON artifact",
+        help="write the JSON artifact here and the report table beside it"
+        " (default: BENCH_fault_recovery.json at the repo root, the table under"
+        " benchmarks/reports/)",
     )
     args = parser.parse_args(argv)
     repeats = 5
@@ -208,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         "(informational)",
         "-",
     )
-    emit("FT1", table)
+    emit("FT1", table, beside=args.output)
 
     payload = {
         "harness": "benchmarks/bench_fault_recovery.py",
@@ -224,8 +225,9 @@ def main(argv: list[str] | None = None) -> int:
             "passed": overhead_ok and chaos_ok,
         },
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
+    output = args.output or ROOT / "BENCH_fault_recovery.json"
+    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {output}")
 
     if not overhead_ok:
         print(

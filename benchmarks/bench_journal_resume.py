@@ -280,8 +280,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=ROOT / "BENCH_journal.json",
-        help="where to write the JSON artifact",
+        help="write the JSON artifact here and the report table beside it"
+        " (default: BENCH_journal.json at the repo root, the table under"
+        " benchmarks/reports/)",
     )
     args = parser.parse_args(argv)
     repeats = 5
@@ -343,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         "True",
         "PASS" if replay_ok else "FAIL",
     )
-    emit("JN1", table)
+    emit("JN1", table, beside=args.output)
 
     payload = {
         "harness": "benchmarks/bench_journal_resume.py",
@@ -361,8 +362,9 @@ def main(argv: list[str] | None = None) -> int:
             "passed": overhead_ok and resume_ok and replay_ok,
         },
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
+    output = args.output or ROOT / "BENCH_journal.json"
+    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {output}")
 
     if not overhead_ok:
         print(

@@ -278,8 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=ROOT / "BENCH_obs_overhead.json",
-        help="where to write the JSON artifact",
+        help="write the JSON artifact here and the report table beside it"
+        " (default: BENCH_obs_overhead.json at the repo root, the table under"
+        " benchmarks/reports/)",
     )
     args = parser.parse_args(argv)
     repeats = 3 if args.smoke else 5
@@ -367,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         "exact",
         "PASS" if crossproc["merge_exact"] else "FAIL",
     )
-    emit("OBS1", table)
+    emit("OBS1", table, beside=args.output)
 
     payload = {
         "harness": "benchmarks/bench_obs_overhead.py",
@@ -388,8 +389,9 @@ def main(argv: list[str] | None = None) -> int:
             "passed": gate_ok and traced_ok and crossproc_ok,
         },
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
+    output = args.output or ROOT / "BENCH_obs_overhead.json"
+    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {output}")
 
     if not gate_ok:
         print(

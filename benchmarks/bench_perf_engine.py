@@ -362,8 +362,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=ROOT / "BENCH_perf_engine.json",
-        help="where to write the JSON artifact",
+        help="write the JSON artifact here and the report table beside it"
+        " (default: BENCH_perf_engine.json at the repo root, the table under"
+        " benchmarks/reports/)",
     )
     args = parser.parse_args(argv)
     repeats = 1 if args.smoke else 3
@@ -395,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         table.add_row(r["name"], r["steps"], r["reference_seconds"], r["compiled_seconds"], r.get("compile_seconds", "-"), f"{r['speedup']:.1f}x")
     table.add_row(batch["name"], batch["jobs"], batch["reference_seconds"], batch["compiled_seconds"], "-", f"{batch['speedup']:.1f}x")
     table.add_row(batch_warm["name"], batch_warm["jobs"], batch_warm["reference_seconds"], batch_warm["compiled_seconds"], "-", f"{batch_warm['speedup']:.1f}x")
-    emit("PERF1", table)
+    emit("PERF1", table, beside=args.output)
 
     payload = {
         "harness": "benchmarks/bench_perf_engine.py",
@@ -417,8 +418,9 @@ def main(argv: list[str] | None = None) -> int:
             "passed": accepted and warm_accepted and not row_failures,
         },
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
+    output = args.output or ROOT / "BENCH_perf_engine.json"
+    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {output}")
 
     # PF2 runs in smoke mode too: warm-pool dispatch is cheap enough
     # to gate on every CI pass, unlike the full-size engine workloads.

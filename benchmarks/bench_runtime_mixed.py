@@ -165,8 +165,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=ROOT / "BENCH_runtime_mixed.json",
-        help="where to write the JSON artifact",
+        help="write the JSON artifact here and the report table beside it"
+        " (default: BENCH_runtime_mixed.json at the repo root, the table under"
+        " benchmarks/reports/)",
     )
     args = parser.parse_args(argv)
     repeats = 1 if args.smoke else 3
@@ -183,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             r["workload"], r["backend"], r["jobs"], r["unique_jobs"],
             r["reference_seconds"], r["runtime_seconds"], f"{r['speedup']:.1f}x",
         )
-    emit("RT1", table)
+    emit("RT1", table, beside=args.output)
 
     failures = [
         r for r in results
@@ -201,8 +202,9 @@ def main(argv: list[str] | None = None) -> int:
             "passed": not failures,
         },
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
+    output = args.output or ROOT / "BENCH_runtime_mixed.json"
+    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {output}")
 
     if failures:
         for r in failures:

@@ -236,8 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=ROOT / "BENCH_sched.json",
-        help="where to write the JSON artifact",
+        help="write the JSON artifact here and the report table beside it"
+        " (default: BENCH_sched.json at the repo root, the table under"
+        " benchmarks/reports/)",
     )
     args = parser.parse_args(argv)
 
@@ -283,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
             "p99 <= 25% of sweep",
             "PASS" if latency_ok else "FAIL",
         )
-    emit("SC1", table)
+    emit("SC1", table, beside=args.output)
 
     payload = {
         "harness": "benchmarks/bench_scheduler.py",
@@ -303,8 +304,9 @@ def main(argv: list[str] | None = None) -> int:
             "passed": throughput_ok and latency_ok,
         },
     }
-    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
+    output = args.output or ROOT / "BENCH_sched.json"
+    output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {output}")
 
     if not throughput_ok:
         print(

@@ -15,7 +15,8 @@ exactly:
    only its shard of the resident table, and results all-gather back
    in deterministic order,
 3. distributed *and* supervised with a chaos-killed node mid-census —
-   the dead node's chunks are redispatched and the census still comes
+   ``SupervisedBackend(ChaosBackend(dist))``: the supervisor restarts
+   the killed node, retries its chunks, and the census still comes
    back exact.
 
 Topology note: ``"single_node"`` runs the nodes as in-process threads
@@ -29,7 +30,8 @@ Run:  python examples/sharded_census.py
 
 from collections import Counter
 
-from repro.faults.chaos import ChaosSchedule
+from repro.faults.chaos import ChaosBackend, ChaosSchedule
+from repro.faults.supervisor import SupervisedBackend
 from repro.machines.busybeaver import enumerate_machines
 from repro.runtime.core import create_backend, run_jobs
 
@@ -70,24 +72,27 @@ def main() -> None:
         dist.close()
     print(f"sharded census exact: {sharded == clean}")
 
-    print("\n-- same census, one node chaos-killed mid-sweep --")
-    chaotic = create_backend(
+    print("\n-- same census, supervised, one node chaos-killed mid-sweep --")
+    dist = create_backend(
         "dist",
         workload="busybeaver",
         nodes=2,
         topology="single_node",
         workers_per_node=0,
-        chaos=ChaosSchedule(kinds={1: "node_kill"}),
+    )
+    supervised = SupervisedBackend(
+        ChaosBackend(dist, schedule=ChaosSchedule(kinds={1: "node_kill"}))
     )
     try:
-        survived = census(backend=chaotic)
+        survived = census(backend=supervised)
         print(
-            f"node restarts={chaotic.last_dispatch['node_restarts']},"
-            f" stale replies discarded={chaotic.stale_results},"
-            f" duplicates applied={chaotic.duplicate_results}"
+            f"node restarts={dist.node_restarts},"
+            f" chunk retries={supervised.last_report.retries},"
+            f" stale replies discarded={dist.stale_results},"
+            f" duplicates applied={dist.duplicate_results}"
         )
     finally:
-        chaotic.close()
+        supervised.close()
     print(f"killed-node census exact: {survived == clean}")
 
     halting = [(s, i) for i, s in enumerate(clean) if s.halted]

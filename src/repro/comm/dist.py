@@ -18,12 +18,13 @@ module only moves chunks:
   sweep is byte-identical to :class:`~repro.runtime.core.SerialBackend`.
 * **Failure.**  A lost node surfaces as
   :class:`~repro.faults.chaos.WorkerCrash` (the supervisor's existing
-  crash vocabulary): the coordinator requeues its in-flight chunks,
-  the node is restarted here under a bumped generation and
-  re-sharded, and the sweep continues — a chaos-killed-node run equals
-  a clean run exactly.  Past ``max_node_restarts`` the coordinator
-  runs the remainder locally, mirroring the supervisor's own last
-  resort.
+  crash vocabulary) on every chunk in flight to it, and on every chunk
+  sent to it until :meth:`DistBackend.recover` restarts it under a
+  bumped generation and re-shards it.  Bare ``dist`` raises that crash
+  out of ``execute``, as bare ``process`` raises a broken pool;
+  ``"supervised:dist"`` retries the chunks against the restarted node,
+  so a chaos-killed-node run equals a clean run exactly, and degrades
+  to serial if the node will not come back.
 * **Telemetry.**  Chunk payloads carry the current
   :class:`~repro.obs.telemetry.TraceContext`; node-side deltas ride
   home inside the stats dict and are absorbed with PR 7's
@@ -32,7 +33,7 @@ module only moves chunks:
 
 Composes both ways: ``"journaled:dist"`` journals over it,
 ``"supervised:dist"`` drives its ``submit_chunk``/``recover`` surface
-for deadlines/hedging/quarantine on top of node restarts.
+for node restarts, deadlines, hedging and quarantine.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ class DistBackend(Coordinator):
     """
 
     name = "dist"
-    #: Lost-node restarts one batch may spend before it runs the rest locally.
-    max_node_restarts = 4
 
     def __init__(
         self,
@@ -89,7 +88,6 @@ class DistBackend(Coordinator):
         topology: str | None = None,
         chunksize: int | None = None,
         memo_size: int = 4096,
-        chaos: Any = None,
         connect_timeout: float = 30.0,
     ) -> None:
         if nodes < 1:
@@ -111,11 +109,9 @@ class DistBackend(Coordinator):
         if topology is None:
             topology = "hierarchical" if self.workers_per_node > 1 else "naive"
         self.topology = topology
-        self.chaos = chaos
         self.connect_timeout = connect_timeout
         #: Total worker estimate — the supervisor sizes chunks off this.
         self.workers = nodes * lane_workers
-        self._lost = (_crash(),)
         self._labels = {"nodes": nodes}
         self.comm: Communicator | None = None
         self._owner_pid = os.getpid()
@@ -133,7 +129,7 @@ class DistBackend(Coordinator):
         self.node_chunks: Counter = Counter()
         self.node_restarts = 0
         #: Replies for chunks already written off (the node was declared
-        #: lost and the chunk redispatched before its reply landed).
+        #: lost and the chunk failed before its reply landed).
         #: Discarded, never applied — benign, expected under kill races.
         self.stale_results = 0
         #: Replies for a chunk that was already settled — a protocol
@@ -215,31 +211,28 @@ class DistBackend(Coordinator):
             self._shard(range(self.nodes))
             mark_open(self)
 
-    def _restart_lane(self, node: int) -> None:
-        """A dead node is a restarted generation: fresh process, bumped
-        generation, its table slice re-sharded before any chunk flows."""
-        assert self.comm is not None
-        self.comm.restart_node(node)
-        self.node_restarts += 1
-        with self._lock:
-            self._dead.discard(node)
-        try:
-            self._shard([node])
-        except BaseException:
-            with self._lock:
-                self._dead.add(node)
-            raise
-
-    def _dead_lanes(self) -> set[int]:
-        with self._lock:
-            return set(self._dead)
-
     def recover(self) -> None:
-        """Restart every dead node (the supervisor's recovery hook)."""
+        """Restart every lost node (the supervisor's recovery hook).
+
+        A lost node is a restarted generation: fresh process, bumped
+        generation, its table slice re-sharded before any chunk flows.
+        A node that fails to restart stays lost, and the error raises.
+        """
         if self.comm is None:
             return
-        for node in sorted(self._dead_lanes()):
-            self._restart_lane(node)
+        with self._lock:
+            dead = sorted(self._dead)
+        for node in dead:
+            self.comm.restart_node(node)
+            self.node_restarts += 1
+            with self._lock:
+                self._dead.discard(node)
+            try:
+                self._shard([node])
+            except BaseException:
+                with self._lock:
+                    self._dead.add(node)
+                raise
 
     def close(self) -> None:
         if not enter_close(self):
@@ -314,6 +307,10 @@ class DistBackend(Coordinator):
 
     def _on_node_lost(self, node: int) -> None:
         with self._lock:
+            if self.comm is not None and node in self.comm.alive_nodes():
+                # A previous incarnation's loss, reported after
+                # recover() attached its successor: nothing is lost.
+                return
             self._dead.add(node)
             lost = [cid for cid, (owner, _) in self._inflight.items() if owner == node]
             victims = [self._inflight.pop(cid)[1] for cid in lost]
@@ -338,15 +335,11 @@ class DistBackend(Coordinator):
     ) -> tuple[Future, int]:
         """Route one interned chunk to ``node``; ``(future, bytes)``.
 
-        A ``chaos`` schedule draws one fault slot per chunk sent; a
-        ``"node_kill"`` kills the node first.  A send failure is a node
-        loss — every chunk in flight to it fails, this one included —
-        and raises ``WorkerCrash``, the crash the supervisor and the
-        coordinator's dispatch loop both handle.
+        A send failure is a node loss — every chunk in flight to it
+        fails, this one included — and raises ``WorkerCrash``, the
+        crash the supervisor handles.
         """
         assert self.comm is not None
-        if self.chaos is not None and self.chaos.next_fault() == "node_kill":
-            self.kill_node(node)
         shipped = self._shipped(node, entries)
         chunk_id = next(self._next_chunk)
         future: Future = Future()
@@ -370,21 +363,17 @@ class DistBackend(Coordinator):
         self.node_chunks[node] += 1
         return future, nbytes
 
-    def kill_node(self, node: int | None = None) -> int | None:
-        """Chaos seam: abruptly kill one live node; returns its id.
+    def kill_node(self, node: int) -> bool:
+        """Chaos seam: abruptly kill ``node``; False if it was down already.
 
-        ``ChaosBackend`` maps the ``"node_kill"`` fault kind here.  The
-        death is asynchronous — the loss surfaces through the reader as
-        the chunk failures and restart a real SIGKILL would cause.
+        ``ChaosBackend`` maps the ``"node_kill"`` fault kind here, on
+        the node :meth:`route` names for the chunk it injects into.
+        The loss surfaces as the chunk failures a real SIGKILL would
+        cause, and lasts until :meth:`recover`.
         """
         self._open()
         assert self.comm is not None
-        dead = self._dead_lanes()
-        alive = [n for n in range(self.nodes) if n not in dead]
-        if not alive:
-            return None
-        victim = node if node in alive else alive[0]
-        return victim if self.comm.kill_node(victim) else None
+        return self.comm.kill_node(node)
 
     # -- per-execute telemetry -----------------------------------------------
 
@@ -393,23 +382,13 @@ class DistBackend(Coordinator):
         return (comm.bytes_sent, comm.bytes_recv) if comm is not None else (0, 0)
 
     def _mark(self) -> tuple:
-        return (
-            self.node_restarts,
-            self.degraded_jobs,
-            Counter(self.node_chunks),
-            self._wire_bytes(),
-        )
+        return (self.node_restarts, Counter(self.node_chunks), self._wire_bytes())
 
     def _since(self, mark: tuple) -> dict[str, Any]:
-        restarts, degraded, _, _ = mark
-        return {
-            "nodes": self.nodes,
-            "node_restarts": self.node_restarts - restarts,
-            "degraded_jobs": self.degraded_jobs - degraded,
-        }
+        return {"nodes": self.nodes, "node_restarts": self.node_restarts - mark[0]}
 
     def _record(self, mark: tuple) -> None:
-        restarts, _, chunks, (sent, recv) = mark
+        restarts, chunks, (sent, recv) = mark
         sent_after, recv_after = self._wire_bytes()
         with OBS.atomic():
             for node, count in (Counter(self.node_chunks) - chunks).items():
@@ -420,4 +399,4 @@ class DistBackend(Coordinator):
                 OBS.count("comm_bytes_recv_total", recv_after - recv)
             if self.node_restarts > restarts:
                 OBS.count("comm_node_restarts_total", self.node_restarts - restarts)
-        OBS.gauge("comm_nodes", self.nodes - len(self._dead_lanes()))
+        OBS.gauge("comm_nodes", self.nodes - len(self._dead))

@@ -13,14 +13,16 @@ fault schedules so tests are reproducible.
 backoff, circuit breaker) whose value experiment C24 measures.
 :mod:`repro.faults.chaos` scales the same discipline up to the batch
 layer — scheduled worker crashes, hung chunks, corrupted payloads,
-hard kills (``os._exit``, the ``kill -9`` stand-in), and poison jobs —
-and :mod:`repro.faults.supervisor` provides the recovery path that
-survives them: deadlines, bounded retries, hedged dispatch, pool
-restarts with graceful degradation, poison quarantine by bisection,
-and on-demand dead-letter replay.  :mod:`repro.faults.recovery` is the
+hard kills (``os._exit``, the ``kill -9`` stand-in), killed nodes and
+poison jobs — and :mod:`repro.faults.supervisor` provides the recovery
+path that survives them: deadlines, bounded retries, hedged dispatch,
+pool and node restarts with graceful degradation, and poison
+quarantine by bisection.  :mod:`repro.faults.recovery` is the
 deliberate half of the durable job journal
 (:mod:`repro.runtime.journal`): it replays the append-only log after a
-hard crash, tolerating torn tails, so sweeps resume exactly-once.
+hard crash, tolerating torn tails, so sweeps resume exactly-once, and
+the journal's ``replay_dead_letters`` re-runs quarantined jobs after a
+fix.
 """
 
 from repro.faults.chaos import (

@@ -23,14 +23,15 @@ scheduled fault at the chunk-dispatch boundary:
   child process (see ``benchmarks/bench_journal_resume.py``); tests
   that must survive pass ``kill_action=`` to observe the kill instead,
   in which case the dispatch settles as a :class:`WorkerCrash`;
-* ``"node_kill"`` — one whole *node* of a multi-node backend dies
-  (SIGKILL of a ``repro.comm`` node subprocess, or the loopback
-  equivalent).  When the inner backend exposes a ``kill_node`` seam
-  (:class:`repro.comm.dist.DistBackend` does) the node really dies and
-  the chunk is dispatched into the dying fabric — the loss surfaces
-  exactly as it would in production, through the backend's own
-  node-loss detection and restart.  Inner backends without the seam
-  see a plain ``"crash"`` instead, so schedules stay portable.
+* ``"node_kill"`` — the node the chunk is routed to dies (SIGKILL of
+  a ``repro.comm`` node subprocess, or the loopback equivalent), then
+  the chunk is dispatched to it.  When the inner backend exposes a
+  ``kill_node`` seam (:class:`repro.comm.dist.DistBackend` does, and
+  names the chunk's node through ``route``) the loss surfaces exactly
+  as it would in production: through the backend's own node-loss
+  detection, as a crash the supervisor answers with ``recover()``.
+  Inner backends without the seam see a plain ``"crash"`` instead, so
+  schedules stay portable.
 
 A *poison job* is nastier than a scheduled fault: any chunk containing
 it crashes, every time, no matter how often it is retried — which is
@@ -244,11 +245,10 @@ class ChaosBackend:
         if kind == "node_kill":
             killer = getattr(self.inner, "kill_node", None)
             if killer is not None:
-                # Kill a real node, then dispatch the chunk into the
-                # dying fabric: the loss surfaces through the inner
-                # backend's own detection (WorkerCrash on the future),
-                # never as a synthetic fault.
-                killer()
+                # Kill the chunk's own node, then dispatch the chunk to
+                # it: the loss surfaces through the inner backend's own
+                # detection (WorkerCrash), never as a synthetic fault.
+                killer(self.inner.route(chunk))
                 return self.inner.submit_chunk(chunk, fuel=fuel)
             kind = "crash"  # no node seam: portable degradation
         fault: Future = Future()

@@ -18,12 +18,13 @@ any chunk-submitting backend through an event loop of futures
   duplicate submission; the first copy to finish wins and the loser is
   cancelled;
 * **pool recovery and graceful degradation** — a crash
-  (``BrokenProcessPool``, or its chaos stand-in
-  :class:`~repro.faults.chaos.WorkerCrash`) restarts the inner pool via
-  ``recover()``; once restarts exhaust ``max_pool_restarts`` the
-  supervisor degrades to a fresh in-process
-  :class:`~repro.runtime.core.SerialBackend` bound to the same
-  workload and finishes the batch.
+  (``BrokenProcessPool``, or :class:`~repro.faults.chaos.WorkerCrash`:
+  a lost ``dist`` node or its chaos stand-in) restarts the inner pool
+  or node via ``recover()``; a restart that itself fails counts as
+  one spent.  Once restarts exhaust ``max_pool_restarts``, or a
+  resubmit still crashes after two of them, the supervisor degrades
+  to a fresh in-process :class:`~repro.runtime.core.SerialBackend`
+  bound to the same workload and finishes the batch.
   This composes with :class:`~repro.runtime.core.ProcessBackend`'s warm
   state for free: ``recover()`` bumps the pool generation, the next
   ``submit_chunk`` re-seeds worker program tables from the master
@@ -36,7 +37,10 @@ any chunk-submitting backend through an event loop of futures
 
 ``execute`` therefore *never raises* for job-level failures: a
 quarantined slot surfaces as ``None`` in the result list and as a
-:class:`DeadLetter` on ``backend.last_report``.  A fault-free
+:class:`DeadLetter` on ``backend.last_report``.  Replaying dead
+letters after a fix is the journal's job
+(:meth:`repro.runtime.journal.JournaledBackend.replay_dead_letters`
+over ``"journaled:supervised:<inner>"``).  A fault-free
 supervised run returns results identical to the bare backend's, within
 the <10% overhead budget gated by ``benchmarks/bench_fault_recovery.py``.
 
@@ -420,7 +424,12 @@ class _Supervision:
             return
         recover = getattr(self.active, "recover", None)
         if recover is not None:
-            recover()
+            try:
+                recover()
+            except (*CRASH_TYPES, OSError):
+                # The restart is spent; the next dispatch finds the
+                # pool or node still down and fails towards degrading.
+                pass
 
     def _degrade(self) -> None:
         if self.report.degraded:
@@ -475,11 +484,8 @@ class SupervisedBackend:
         self.flight_dir = Path(flight_dir) if flight_dir is not None else None
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
         self.last_report = SupervisionReport()
-        self.last_replay_report: SupervisionReport | None = None
         self.last_dispatch: dict[str, Any] = {}
         self.last_postmortems: list[dict[str, Any]] = []
-        self._last_results: list[Any] = []
-        self._last_fuel: int | None = None
 
     def recover(self) -> None:
         """Restart the inner backend's pool (next submit re-seeds it)."""
@@ -570,68 +576,4 @@ class SupervisedBackend:
             _record_cache_metrics(
                 self.name, run.aggregate["hits"], run.aggregate["misses"]
             )
-        out = [out_unique[s] for s in slots]
-        # Retained for replay_dead_letters: recovered results merge
-        # into this list, slot by slot, after a fix.
-        self._last_results = out
-        self._last_fuel = fuel
-        return out
-
-    def replay_dead_letters(self, *, fuel: int | None = None) -> list[Any]:
-        """Re-execute the last run's quarantined jobs; merge what recovers.
-
-        The deliberate path after a fix: the inner backend's pool is
-        restarted first (a fresh generation, so no pre-crash worker
-        state can serve the retry), then every :class:`DeadLetter` on
-        ``last_report`` runs through a fresh supervision under the same
-        policy — a job that dies again is simply quarantined again.
-        Recovered results are merged into the last ``execute``'s result
-        list *in index order*, ``last_report.quarantined`` shrinks to
-        the letters that still stand, and the merged list is returned.
-        ``fuel`` defaults to the value of the run that quarantined them.
-
-        The replay's own supervision report (retries, restarts, its
-        still-dead letters) is kept on ``last_replay_report``.
-        """
-        letters = sorted(self.last_report.quarantined, key=lambda l: l.index)
-        if not letters:
-            self.last_replay_report = None
-            return list(self._last_results)
-        replay_fuel = fuel if fuel is not None else (self._last_fuel or 10_000)
-        self.recover()  # fresh generation for the second chance
-        # Dedup by content: the expanded duplicate slots of one poison
-        # job replay it once and share the outcome.
-        unique, slots, _ = intern_jobs(self.workload, [l.job for l in letters])
-        run = _Supervision(self, replay_fuel)
-        try:
-            with OBS.span(
-                "supervisor.replay", backend=self.name, jobs=len(letters)
-            ):
-                out_unique = run.run(unique)
-        finally:
-            self.last_replay_report = run.report
-            if run.active is not self.inner:
-                close = getattr(run.active, "close", None)
-                if close is not None:
-                    close()
-        still_dead: list[DeadLetter] = []
-        recovered = 0
-        for letter, s in zip(letters, slots):
-            result = out_unique[s]
-            if result is None:
-                still_dead.append(letter)
-            else:
-                recovered += 1
-                if letter.index < len(self._last_results):
-                    self._last_results[letter.index] = result
-        still_ids = {id(letter) for letter in still_dead}
-        self.last_report.quarantined = [
-            letter for letter in self.last_report.quarantined if id(letter) in still_ids
-        ]
-        if OBS.enabled:
-            OBS.event(
-                "supervisor.replayed",
-                recovered=recovered,
-                still_dead=len(still_dead),
-            )
-        return list(self._last_results)
+        return [out_unique[s] for s in slots]

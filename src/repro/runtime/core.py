@@ -453,18 +453,11 @@ class Coordinator:
     flight per lane) and ``lane_workers`` (the adaptive split's
     divisor) and implements ``_open``, ``_submit_entries``,
     ``_reseed``, ``recover`` and ``close``; with several lanes it homes
-    programs through ``_place``.  One whose lanes can be lost also sets
-    ``_lost`` and ``max_node_restarts`` and implements ``_dead_lanes``
-    and ``_restart_lane``.
+    programs through ``_place``.  A chunk whose lane fails raises out
+    of ``execute``, whatever the transport: restarting the lane is
+    ``recover()``'s job, and the supervisor is what calls it.
     """
 
-    #: Errors that mean "this lane is lost": requeue, never raise.  The
-    #: first is raised when every lane is lost.
-    _lost: tuple[type[BaseException], ...] = ()
-    #: Lost-lane restarts one batch may spend before it runs locally.
-    max_node_restarts = 0
-    #: Jobs run locally because their lane stayed lost.
-    degraded_jobs = 0
     #: Extra ``batch.pool`` span attributes.
     _labels: dict[str, Any] = {}
 
@@ -577,10 +570,6 @@ class Coordinator:
 
     # -- transport hooks -----------------------------------------------------
 
-    def _dead_lanes(self) -> set[int]:
-        """Lanes currently lost; never any for a transport with no ``_lost``."""
-        return set()
-
     def _mark(self) -> Any:
         """Transport counters at the start of an ``execute``."""
         return None
@@ -594,28 +583,28 @@ class Coordinator:
 
     # -- chunk-level API (the supervision surface) ---------------------------
 
+    def _intern_chunk(self, chunk: Sequence[Job]) -> tuple[list[tuple[int, Any]], int]:
+        """``chunk``'s ``(program_id, input)`` entries and its lane: the
+        home of its first program.  The one place a chunk is routed."""
+        entries = [(self._register(program), input) for program, input in chunk]
+        return entries, (self._home(entries[0][0]) if entries else 0)
+
+    def route(self, chunk: Sequence[Job]) -> int:
+        """The lane :meth:`submit_chunk` sends ``chunk`` to."""
+        return self._intern_chunk(chunk)[1]
+
     def submit_chunk(self, chunk: Sequence[Job], *, fuel: int) -> Future:
-        """Submit one chunk to its first program's home lane.
+        """Submit one chunk to the lane :meth:`route` names.
 
         The chunk is interned on the way in (compact ids, resident
         tables), so a supervisor composes with warm lanes for free:
         hedged duplicates re-ship nothing, and after ``recover()`` the
-        next submit re-seeds under a fresh generation.  A chunk whose
-        home lane is lost falls over to a live lane — ``shipped``
-        carries whatever that lane lacks — so supervised retries make
-        progress before ``recover()`` restarts it.  Callers driving
+        next submit re-seeds under a fresh generation.  Callers driving
         this directly own the transport's lifetime: call :meth:`close`
         (or let ``run_jobs`` close backends it created by name).
         """
-        entries = [(self._register(program), input) for program, input in chunk]
+        entries, lane = self._intern_chunk(chunk)
         self._open()
-        lane = self._home(entries[0][0]) if entries else 0
-        dead = self._dead_lanes()
-        if lane in dead:
-            alive = [n for n in range(self.lanes) if n not in dead]
-            if not alive:
-                raise self._lost[0]("all lanes lost")
-            lane = alive[lane % len(alive)]
         future, _ = self._submit_entries(lane, entries, fuel=fuel)
         self._trim()
         return future
@@ -740,9 +729,7 @@ class Coordinator:
         a ``1/(2·lane_workers)`` share of the lane's remaining estimated
         cost, so chunk *contents* are deterministic and decay toward
         single jobs at the tail.  A steal is a pull beyond the first
-        wave.  A chunk failing with a ``_lost`` error is requeued; a
-        lost lane with work is restarted up to ``max_node_restarts``
-        times per batch, then the remainder runs here.
+        wave.  The first chunk to fail cancels the rest and raises.
         """
         if self.chunksize is not None and self.chunksize < 1:
             raise ValueError("chunksize must be >= 1 (or None for adaptive dispatch)")
@@ -774,56 +761,23 @@ class Coordinator:
             lane_cost[lane] -= acc
             return span
 
-        def requeue(lane: int, span: list[int]) -> None:
-            queues[lane].extendleft(reversed(span))
-            lane_cost[lane] += sum(estimates[u] for u in span)
-
         def scatter(span: list[int], results: Sequence[Any]) -> None:
             for u, result in zip(span, results):
                 unique_results[u] = result
                 self._observe_cost(pids[u], self.workload.cost(result))
 
-        def run_remainder_locally() -> None:
-            """Past the restart budget: finish here, like the supervisor
-            degrading to serial — results stay exact."""
-            leftovers = sorted(u for q in queues for u in q)
-            for q in queues:
-                q.clear()
-            chunk = [unique[u] for u in leftovers]
-            results, stats, _ = _run_chunk(self.workload, chunk, fuel, ResidentCache(self.workload))
-            scatter(leftovers, results)
-            settler.absorb_stats(stats)
-            self.degraded_jobs += len(leftovers)
-
-        chunks = steals = payload_bytes = restarts = 0
+        chunks = steals = payload_bytes = 0
         in_flight: dict[Future, tuple[int, list[int]]] = {}
         busy = [0] * self.lanes
         try:
             while True:
-                dead = self._dead_lanes()
-                for lane in [n for n in sorted(dead) if queues[n]]:
-                    if restarts >= self.max_node_restarts:
-                        run_remainder_locally()
-                        break
-                    restarts += 1
-                    try:
-                        self._restart_lane(lane)
-                    except (*self._lost, TimeoutError, ConnectionError, OSError):
-                        continue  # still down; next pass retries or degrades
-                    dead.discard(lane)
                 for lane in range(self.lanes):
-                    if lane in dead:
-                        continue
                     while busy[lane] < self.window:
                         span = next_span(lane)
                         if span is None:
                             break
                         entries = [(pids[u], unique[u][1]) for u in span]
-                        try:
-                            future, size = self._submit_entries(lane, entries, fuel=fuel)
-                        except self._lost:
-                            requeue(lane, span)
-                            break  # lost at submit; the next pass restarts it
+                        future, size = self._submit_entries(lane, entries, fuel=fuel)
                         if chunks >= self.lanes * self.window:
                             steals += 1  # a pull beyond the initial wave
                         chunks += 1
@@ -831,19 +785,12 @@ class Coordinator:
                         in_flight[future] = (lane, span)
                         busy[lane] += 1
                 if not in_flight:
-                    if any(queues):
-                        continue  # lost lanes still hold work; restart them
                     break
                 done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
                 for future in done:
                     lane, span = in_flight.pop(future)
                     busy[lane] -= 1
-                    try:
-                        payload = future.result()
-                    except self._lost:
-                        requeue(lane, span)  # restarted at the loop top
-                        continue
-                    scatter(span, settler.settle(payload))
+                    scatter(span, settler.settle(future.result()))
         except BaseException:
             for future in in_flight:
                 future.cancel()

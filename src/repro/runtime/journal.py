@@ -64,7 +64,6 @@ from repro.util.framing import HEADER_BYTES, encode_record, key_digest, scan_rec
 __all__ = [
     "HEADER_BYTES",
     "Journal",
-    "JournalCorruption",
     "JournaledBackend",
     "ScanResult",
     "encode_frame",
@@ -74,14 +73,6 @@ __all__ = [
 ]
 
 _SEGMENT_GLOB = "seg-*.jnl"
-
-
-class JournalCorruption(RuntimeError):
-    """A journal frame failed validation somewhere recovery can't mend.
-
-    Raised only by strict (non-scanning) paths; the recovery scan
-    itself *never* raises for torn data — it truncates and warns.
-    """
 
 
 def journal_key(workload: Workload, job: Job, fuel: int) -> str:

@@ -4,9 +4,11 @@ The load-bearing properties of multi-node sharded execution:
 
 * a two-node sharded sweep is byte-identical (per-result pickles) to
   ``SerialBackend`` for every workload adapter;
-* killing one node mid-sweep yields *exactly* the clean run's results
-  — nothing lost, nothing duplicated — through both the backend's own
-  chaos seam and the ``ChaosBackend``/``SupervisedBackend`` stack;
+* a lost node raises out of a bare ``dist`` sweep until ``recover()``
+  restarts it, and killing one node mid-sweep under the
+  ``ChaosBackend``/``SupervisedBackend`` stack yields *exactly* the
+  clean run's results — nothing lost, nothing duplicated, one restart
+  per kill — or degrades to serial when the node cannot restart;
 * composite backend names compose generically (``"journaled:dist"``,
   ``"journaled:ensemble"``) and broken chains fail up front
   with an error naming the offending segment.
@@ -19,6 +21,7 @@ subprocess nodes end to end.
 
 import os
 import pickle
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 from repro.comm import NodeLost, create_communicator
 from repro.comm.dist import DistBackend
 from repro.complexity.sat import CNF
-from repro.faults.chaos import ChaosBackend, ChaosSchedule
+from repro.faults.chaos import ChaosBackend, ChaosSchedule, WorkerCrash
 from repro.faults.supervisor import SupervisedBackend, SupervisorPolicy
 from repro.machines.turing import (
     binary_increment,
@@ -180,6 +183,71 @@ def test_real_subprocess_nodes_match_serial():
 # -- node failure: chaos-killed == clean, exactly ----------------------------
 
 
+def test_dist_has_no_chaos_option():
+    with pytest.raises(TypeError):
+        DistBackend(MACHINES, chaos=ChaosSchedule(kinds={0: "node_kill"}))
+
+
+def test_bare_dist_raises_on_a_lost_node_until_recover():
+    """Bare ``dist`` is the fast path: a lost node fails the sweep, as a
+    broken pool fails bare ``process``; ``recover()`` restarts it."""
+    jobs = [_TM_POOL[i % len(_TM_POOL)] for i in range(6)]
+    clean = run_jobs(MACHINES, jobs, fuel=FUEL)
+    backend = loopback_backend(MACHINES)
+    try:
+        assert backend.kill_node(backend.route(jobs))
+        with pytest.raises(WorkerCrash):
+            backend.execute(jobs, fuel=FUEL)
+        with pytest.raises(WorkerCrash):
+            backend.execute(jobs, fuel=FUEL)  # still lost: nothing restarts it
+        assert backend.node_restarts == 0
+        backend.recover()
+        assert backend.node_restarts == 1
+        out = backend.execute(jobs, fuel=FUEL)
+        assert per_result_pickles(out) == per_result_pickles(clean)
+        assert backend.duplicate_results == 0
+    finally:
+        backend.close()
+
+
+def test_a_loss_reported_after_the_restart_is_ignored():
+    """The receiver can report a node's loss after ``recover()`` has
+    attached its successor.  That late report must not mark the new
+    incarnation lost, or fail the shard barrier ``recover()`` waits on."""
+    jobs = _TM_POOL[:2]
+    clean = run_jobs(MACHINES, jobs, fuel=FUEL)
+    backend = loopback_backend(MACHINES)
+    backend.warm(programs=[program for program, _ in jobs])
+    reported, restarted = threading.Event(), threading.Event()
+    report, restart = backend._on_node_lost, backend.comm.restart_node
+
+    def late_report(node):
+        if threading.current_thread().name == "dist-recv":
+            reported.set()
+            restarted.wait(timeout=10.0)  # descheduled until the restart lands
+        report(node)
+
+    def restart_then_release(node):
+        restart(node)
+        restarted.set()
+
+    backend._on_node_lost = late_report
+    backend.comm.restart_node = restart_then_release
+    try:
+        assert backend.kill_node(backend.route(jobs))
+        assert reported.wait(timeout=10.0)
+        with pytest.raises(WorkerCrash):
+            backend.execute(jobs, fuel=FUEL)
+        backend.recover()
+        assert backend.node_restarts == 1
+        out = backend.execute(jobs, fuel=FUEL)
+        assert per_result_pickles(out) == per_result_pickles(clean)
+        backend.recover()  # nothing is lost: no second restart
+        assert backend.node_restarts == 1
+    finally:
+        backend.close()
+
+
 @settings(max_examples=5, deadline=None)
 @given(
     plan=st.lists(st.integers(min_value=0, max_value=4), min_size=4, max_size=12),
@@ -188,28 +256,29 @@ def test_real_subprocess_nodes_match_serial():
 def test_node_kill_mid_sweep_equals_clean_run_exactly(plan, kill_at):
     """The issue's headline property: a chaos-killed-node sweep returns
     exactly the clean run's results — nothing lost to the dead node,
-    nothing double-counted by the redispatch."""
+    nothing double-counted by the redispatch — with one restart per
+    kill that landed."""
     jobs = [_TM_POOL[i] for i in plan]
     clean = run_jobs(MACHINES, jobs, fuel=FUEL)
-    backend = loopback_backend(
-        MACHINES, chaos=ChaosSchedule(kinds={kill_at: "node_kill"})
-    )
+    inner = loopback_backend(MACHINES)
+    chaotic = ChaosBackend(inner, schedule=ChaosSchedule(kinds={kill_at: "node_kill"}))
+    backend = SupervisedBackend(inner=chaotic, workload=MACHINES)
     try:
         out = run_jobs(MACHINES, jobs, fuel=FUEL, backend=backend)
         assert per_result_pickles(out) == per_result_pickles(clean)
-        assert backend.duplicate_results == 0
+        assert inner.duplicate_results == 0
+        assert backend.last_report.quarantined == []
         # the kill only lands when the schedule slot was actually drawn
-        assert backend.last_dispatch["node_restarts"] >= (
-            1 if kill_at < backend.last_dispatch["chunks"] else 0
-        )
+        assert inner.node_restarts == chaotic.injected["node_kill"]
     finally:
         backend.close()
 
 
 def test_node_kill_through_chaosbackend_and_supervisor():
-    """`node_kill` as a first-class chaos kind: the ChaosBackend maps
-    it onto the inner backend's ``kill_node`` seam and the supervisor
-    retries the crashed chunk against the restarted node."""
+    """`node_kill` as a first-class chaos kind: the ChaosBackend kills
+    the node the chunk is routed to through the inner backend's
+    ``kill_node`` seam, and the supervisor restarts it and retries the
+    crashed chunk against the restarted node."""
     jobs = [_TM_POOL[i % len(_TM_POOL)] for i in range(8)]
     clean = run_jobs(MACHINES, jobs, fuel=FUEL)
     inner = loopback_backend(MACHINES)
@@ -222,6 +291,35 @@ def test_node_kill_through_chaosbackend_and_supervisor():
         assert per_result_pickles(out) == per_result_pickles(clean)
         assert chaotic.injected["node_kill"] == 1
         assert backend.last_report.quarantined == []
+        assert inner.node_restarts == 1
+        assert backend.last_report.pool_restarts == 1
+    finally:
+        backend.close()
+
+
+def test_supervised_dist_degrades_when_a_node_cannot_restart():
+    """A restart that fails is a restart spent, never an escape: the
+    supervisor finishes the batch in-process, exactly."""
+    jobs = [_TM_POOL[i % len(_TM_POOL)] for i in range(8)]
+    clean = run_jobs(MACHINES, jobs, fuel=FUEL)
+    inner = loopback_backend(MACHINES, nodes=1)
+    backend = SupervisedBackend(
+        inner=inner, workload=MACHINES, policy=SupervisorPolicy(chunksize=3)
+    )
+
+    def cannot_restart(node):
+        raise ConnectionError(f"node {node} cannot restart")
+
+    try:
+        inner.kill_node(0)
+        inner.comm.restart_node = cannot_restart
+        out = backend.execute(jobs, fuel=FUEL)
+        assert per_result_pickles(out) == per_result_pickles(clean)
+        report = backend.last_report
+        assert report.degraded
+        assert report.pool_restarts == 2
+        assert report.quarantined == []
+        assert inner.node_restarts == 0
     finally:
         backend.close()
 

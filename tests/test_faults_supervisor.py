@@ -1,11 +1,13 @@
 """Tests for supervised batch execution: deadlines, retries, hedging,
-pool recovery/degradation, and poison quarantine by bisection."""
+pool recovery/degradation, poison quarantine by bisection, and the
+journal's dead-letter replay over a supervisor."""
 
 import os
 
 import pytest
 
-from repro.faults.chaos import ChaosBackend, ChaosSchedule
+from repro.faults.chaos import ChaosBackend, ChaosSchedule, job_key
+from repro.faults.recovery import recover_journal
 from repro.faults.supervisor import (
     SupervisedBackend,
     SupervisionReport,
@@ -21,6 +23,7 @@ from repro.runtime import (
     SerialBackend,
     create_backend,
 )
+from repro.runtime.journal import JournaledBackend, journal_key
 from repro.runtime.workloads.machines import MACHINES
 
 # Twelve distinct jobs (no duplicate content: poison matching is by content).
@@ -259,80 +262,80 @@ def test_real_broken_process_pool_quarantine_and_recovery():
     assert backend.last_report.quarantined == []
 
 
-# -- dead-letter replay ------------------------------------------------------
+# -- dead-letter replay (the journal's, over a supervisor) ------------------
 
 
-def test_replay_dead_letters_recovers_after_fix():
-    poison_index = 7
-    backend = chaotic(
-        poison=[JOBS[poison_index]],
-        chunksize=4,
-        max_chunk_retries=1,
-        max_pool_restarts=100,
-    )
-    results = backend.execute(JOBS, fuel=10_000)
-    assert results[poison_index] is None
-    assert backend.last_report.quarantined_indices == [poison_index]
-
-    backend.inner._poison.clear()  # "deploy the fix"
-    merged = backend.replay_dead_letters()
-    assert merged == CLEAN  # recovered result merged in index order
-    assert backend.last_report.quarantined == []
-    assert backend.last_replay_report is not None
-    assert backend.last_replay_report.quarantined == []
+def journaled_chaotic(journal_dir, poison):
+    """A journal over a supervisor over a chaos-wrapped serial backend."""
+    supervised = chaotic(poison=poison, chunksize=4, max_chunk_retries=1, max_pool_restarts=100)
+    return JournaledBackend(supervised, journal_dir=journal_dir)
 
 
-def test_replay_still_poison_stays_quarantined():
+def test_journal_replay_keeps_a_still_poison_letter(tmp_path):
     poison_index = 3
-    backend = chaotic(
-        poison=[JOBS[poison_index]],
-        chunksize=4,
-        max_chunk_retries=1,
-        max_pool_restarts=100,
-    )
-    backend.execute(JOBS, fuel=10_000)
-
-    merged = backend.replay_dead_letters()  # nothing fixed: dies again
-    assert merged[poison_index] is None
-    assert backend.last_report.quarantined_indices == [poison_index]
-    assert backend.last_replay_report.quarantined_indices == [0]
-
-
-def test_replay_with_nothing_quarantined_is_a_noop():
-    backend = chaotic()
-    results = backend.execute(JOBS, fuel=10_000)
-    assert results == CLEAN
-    assert backend.replay_dead_letters() == CLEAN
-    assert backend.last_replay_report is None
+    backend = journaled_chaotic(tmp_path, [JOBS[poison_index]])
+    try:
+        results = backend.execute(JOBS, fuel=10_000)
+        assert results[poison_index] is None
+        assert backend.replay_dead_letters() == {}  # nothing fixed: dies again
+        again = backend.execute(JOBS, fuel=10_000)
+        assert again[poison_index] is None
+        assert [letter.index for letter in backend.last_dead_letters] == [poison_index]
+        assert backend.last_dispatch["journal_dead_hits"] == 1
+    finally:
+        backend.close()
+    digest = journal_key(MACHINES, JOBS[poison_index], 10_000)
+    assert digest in recover_journal(tmp_path).dead_letters
 
 
-def test_replay_merges_multiple_letters_in_order():
-    poisoned = [2, 9]
-    backend = chaotic(
-        poison=[JOBS[i] for i in poisoned],
-        chunksize=4,
-        max_chunk_retries=1,
-        max_pool_restarts=100,
-    )
-    results = backend.execute(JOBS, fuel=10_000)
-    assert [i for i, r in enumerate(results) if r is None] == poisoned
-
-    backend.inner._poison.clear()
-    merged = backend.replay_dead_letters()
-    assert merged == CLEAN
-    assert backend.last_report.quarantined == []
+def dead_letter_two_jobs(backend):
+    """Dead-letter JOBS[9] and then JOBS[2], then "deploy the fix"."""
+    chaos = backend.inner.inner
+    backend.execute(JOBS[6:], fuel=10_000)  # JOBS[9] is dead-lettered first,
+    chaos._poison = {job_key(JOBS[2])}
+    backend.execute(JOBS[:6], fuel=10_000)  # then JOBS[2]
+    chaos._poison.clear()
 
 
-def test_replay_uses_a_fresh_generation():
-    poison_index = 5
-    backend = chaotic(
-        poison=[JOBS[poison_index]],
-        chunksize=4,
-        max_chunk_retries=1,
-        max_pool_restarts=100,
-    )
-    backend.execute(JOBS, fuel=10_000)
-    recoveries_before = backend.inner.recoveries
-    backend.inner._poison.clear()
-    backend.replay_dead_letters()
-    assert backend.inner.recoveries > recoveries_before
+def spy_on_replay(backend):
+    """Record, for each job the replay sends to the supervisor, how many
+    inner restarts preceded it and which jobs it carried."""
+    supervised = backend.inner
+    chaos = supervised.inner
+    restarts = chaos.recoveries
+    replayed = []
+    execute = supervised.execute
+
+    def spy(jobs, *, fuel):
+        replayed.append((chaos.recoveries - restarts, [job_key(job) for job in jobs]))
+        return execute(jobs, fuel=fuel)
+
+    supervised.execute = spy
+    return replayed
+
+
+def test_replay_merges_multiple_letters_in_order(tmp_path):
+    backend = journaled_chaotic(tmp_path, [JOBS[9]])
+    try:
+        dead_letter_two_jobs(backend)
+        replayed = spy_on_replay(backend)
+        recovered = backend.replay_dead_letters()
+        assert [keys for _, keys in replayed] == [[job_key(JOBS[9])], [job_key(JOBS[2])]]
+        assert list(recovered) == [journal_key(MACHINES, JOBS[i], 10_000) for i in (9, 2)]
+        assert list(recovered.values()) == [CLEAN[9], CLEAN[2]]
+        assert backend.execute(JOBS, fuel=10_000) == CLEAN
+        assert backend.last_dispatch["journal_hits"] == len(JOBS)
+    finally:
+        backend.close()
+
+
+def test_replay_uses_a_fresh_generation(tmp_path):
+    backend = journaled_chaotic(tmp_path, [JOBS[9]])
+    try:
+        dead_letter_two_jobs(backend)
+        replayed = spy_on_replay(backend)
+        backend.replay_dead_letters()
+        # One restart, before the first letter runs, and none between letters.
+        assert [restarts for restarts, _ in replayed] == [1, 1]
+    finally:
+        backend.close()

@@ -398,15 +398,18 @@ def test_node_kill_recovery_through_session_path():
     jobs = [_TM_POOL[i % len(_TM_POOL)] for i in range(8)]
     expected = one_shot(MACHINES, jobs)
     from repro.comm.dist import DistBackend
+    from repro.faults.supervisor import SupervisedBackend
 
-    backend = DistBackend(MACHINES, nodes=2, topology="single_node", workers_per_node=0)
+    dist = DistBackend(MACHINES, nodes=2, topology="single_node", workers_per_node=0)
+    backend = SupervisedBackend(inner=dist)
     try:
         with Session(backend) as session:
             first = session.execute("machines", jobs[:4], fuel=FUEL)
-            backend.kill_node(0)
+            assert dist.kill_node(dist.route(jobs[4:]))
             second = session.execute("machines", jobs[4:], fuel=FUEL)
         got = first + second
         assert [pickle.dumps(r) for r in got] == [pickle.dumps(r) for r in expected]
+        assert dist.node_restarts == 1
     finally:
         backend.close()
 
