@@ -3,11 +3,15 @@
 The compiled engine (:mod:`repro.perf.engine`) makes *one* machine
 fast; the paper's "what is computable?" exemplars — busy-beaver
 censuses, fuel-bounded halting surveys — run *millions of small
-machines*, and there the per-machine Python overhead (a ``program_key``
-sort, a ``compile_tm`` table build, a result object) dominates the
-actual stepping.  This module turns the population itself into the
-unit of execution:
+machines*, and there the per-machine path's Python overhead (a
+``program_key`` sort to dedup, a ``compile_tm`` table build, a result
+object) dominates the actual stepping.  This module turns the
+population itself into the unit of execution:
 
+* the one pass that reads every ``delta`` also dedups the population:
+  jobs with equal ``(program_key(machine), input)`` are grouped by a
+  ``lexsort`` over the ids that pass builds, and share one row, so no
+  machine is sorted into a ``program_key``;
 * every machine's transition table is lowered into one shared dense
   array ``table[pop, states, symbols]`` of packed int32 *codes*
   (``(next_state+1) << 16 | write << 8 | (move+1)``, with ``0``
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain, count, repeat
 from operator import attrgetter, methodcaller
 
 import numpy as np
@@ -90,7 +94,13 @@ class EnsembleFamily:
 
     :func:`run_family` never mutates it, so one family can be run
     again.  Names are not stored per row: a row decodes them from its
-    own machine (``jobs``) only when a result needs them.
+    machine (``jobs``) only when a result needs them.
+
+    A row stands for one content group of the lowered jobs: every job
+    with an equal ``(program_key(machine), input)`` runs on it
+    (``job_row``).  Its machine is the first job's machine with equal
+    content (``job_first``), so content-equal machines decode to the
+    very same state-name objects, as on the per-machine path.
     """
 
     table: np.ndarray        # (E, S, K) int32 packed codes; 0 = halt/no rule
@@ -98,9 +108,11 @@ class EnsembleFamily:
     initial: np.ndarray      # (E,) int32
     tape: np.ndarray         # (E, W) uint8 window, blank == 0
     head: np.ndarray         # (E,) int64 window positions
-    jobs: list[tuple[TuringMachine, str]]  # each row's machine and input
+    jobs: list[tuple[TuringMachine, str]]  # each row's decoding machine and input
     symbols: list[str]       # family-wide symbol names: BLANK, then sorted
     alphabet: np.ndarray     # (E, K) row symbol id -> symbols index, -1 past the row's
+    job_row: np.ndarray      # (J,) per lowered job: its row, -1 if it does not fit
+    job_first: np.ndarray    # (J,) the first job with an equal machine, -1 if not grouped
 
     @property
     def population(self) -> int:
@@ -131,8 +143,9 @@ def compile_family(
 ) -> tuple[EnsembleFamily | None, list[int]]:
     """Lower ``(machine, input)`` jobs into one lock-step family.
 
-    Returns ``(family, rows)``: family row ``e`` runs ``jobs[rows[e]]``,
-    and ``family`` is ``None`` when no job fits.  A job fits when its
+    Returns ``(family, rows)``: ``rows`` lists the jobs that fit, in
+    order, job ``j`` runs on family row ``family.job_row[j]``, and
+    ``family`` is ``None`` when no job fits.  A job fits when its
     program is a :class:`TuringMachine`, its input a ``str``, and its
     states and input-extended alphabet are within the caps; the rest
     belong on the per-machine path.
@@ -144,14 +157,25 @@ def compile_family(
     symbols outside that alphabet in first-seen order.  The caps and
     the halting-state rule skip are masks over those columns, and one
     scatter stamps every surviving rule into the table.
+
+    The same ids key the jobs without a ``program_key``: one
+    ``lexsort`` over each machine's class, initial state and sorted
+    rule, accept and reject ids, then its input, groups the jobs whose
+    ``(program_key(machine), input)`` are equal (the class itself
+    stands in for its name, which is at least as strict).  Only the
+    first job of each group that fits is stamped, so duplicates cost
+    no lock steps.  Machines over the caps themselves stay ungrouped:
+    none of them can equal a machine that fits.
     """
-    cand = [i for i, (machine, tape_input) in enumerate(jobs)
-            if isinstance(machine, TuringMachine) and isinstance(tape_input, str)]
+    cand = [i for i, (machine, _) in enumerate(jobs) if isinstance(machine, TuringMachine)]
     pop = len(cand)
     if not pop or max_symbols < 1:
         return None, []
     machines = [jobs[i][0] for i in cand]
     inputs = [jobs[i][1] for i in cand]
+    text = np.fromiter(map(isinstance, inputs, repeat(str)), dtype=bool, count=pop)
+    if not text.all():  # such a job never fits, but its machine still groups
+        inputs = [x if t else "" for x, t in zip(inputs, text.tolist())]
     deltas = list(map(attrgetter("delta"), machines))
     accepts = list(map(attrgetter("accept_states"), machines))
     rejects = list(map(attrgetter("reject_states"), machines))
@@ -181,12 +205,15 @@ def compile_family(
     # -- states: rank per row, cap ----------------------------------------
     acc_row = np.repeat(every, list(map(len, accepts)))
     rej_row = np.repeat(every, list(map(len, rejects)))
+    init_id = _ids(state_id, initial, pop)
+    acc_id = _ids(state_id, chain.from_iterable(accepts), acc_row.size)
+    rej_id = _ids(state_id, chain.from_iterable(rejects), rej_row.size)
     state_ids = np.concatenate([
         _ids(state_id, src, len(rules))[rule_of],
         _ids(state_id, nxt, len(rules))[rule_of],
-        _ids(state_id, initial, pop),
-        _ids(state_id, chain.from_iterable(accepts), acc_row.size),
-        _ids(state_id, chain.from_iterable(rejects), rej_row.size),
+        init_id,
+        acc_id,
+        rej_id,
     ])
     local, n_states = _rank(
         np.concatenate([rule_row, rule_row, every, acc_row, rej_row]),
@@ -206,7 +233,7 @@ def compile_family(
     local, n_syms = _rank(sym_row, sym_ids, pop, len(symbol_names))
     c_loc, w_loc = np.split(local[pop:], 2)
     cap = min(max_symbols, _MAX_SYMBOLS)
-    fit = (n_states <= max_states) & (n_syms <= cap)
+    sized = (n_states <= max_states) & (n_syms <= cap)  # the machine fits
     width = int(min(n_syms.max(), cap))
     alphabet = np.full((pop, cap), -1, dtype=np.int32)
     inside = local < width  # rows over the cap are dropped below anyway
@@ -228,24 +255,58 @@ def compile_family(
     slot = n_syms[owner] + np.arange(seen.size) - np.searchsorted(owner, owner)
     char_loc[miss] = slot[np.argsort(np.argsort(first))[group]]
     n_extra = np.bincount(owner, minlength=pop)
-    fit &= n_syms + n_extra <= cap
+    fit = sized & text & (n_syms + n_extra <= cap)
+    if not fit.any():
+        return None, []
     ok = slot < cap
     alphabet[owner[ok], slot[ok]] = char_ids[seen[ok]]
 
-    # -- stamp the rows that fit ------------------------------------------
-    keep = np.flatnonzero(fit)
-    if not keep.size:
-        return None, []
-    row_of = np.cumsum(fit) - 1
+    # -- group the machines that fit: equal ids are equal names, so rows
+    # with the same class, initial state and sorted rule, accept and reject
+    # ids (in disjoint ranges) are machines with equal program_keys ---------
+    grouped = np.flatnonzero(sized)
+    compact = np.full(pop, -1)
+    compact[grouped] = np.arange(grouped.size)
+    span = len(rules) + 2 * len(state_names)
+    tok_row = compact[np.concatenate([rule_row, acc_row, rej_row])]
+    tok = np.concatenate([rule_of, acc_id + len(rules), rej_id + len(rules) + len(state_names)])
+    tok_row, tok = np.divmod(np.sort((tok_row * span + tok)[tok_row >= 0]), span)
+    per_row = np.bincount(tok_row, minlength=grouped.size)
+    # A sized machine has at most one rule per (state, symbol) slot, so a
+    # row here is about as wide as a table row.
+    program = np.full((grouped.size, 2 + int(per_row.max())), -1, dtype=np.int64)
+    program[:, 0] = _ids(defaultdict(count().__next__), map(type, machines), pop)[grouped]
+    program[:, 1] = init_id[grouped]
+    program[tok_row, 2 + np.arange(tok.size) - (np.cumsum(per_row) - per_row)[tok_row]] = tok
+    input_id = np.where(text, _ids(defaultdict(count().__next__), inputs, pop), -1)[grouped]
+    order = np.lexsort(np.vstack([input_id, program[:, ::-1].T]))  # by program, then input
+    ranked = program[order]
+    new_program = np.ones(grouped.size, dtype=bool)
+    new_program[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    new_job = new_program.copy()
+    new_job[1:] |= input_id[order][1:] != input_id[order][:-1]
+    # The sort is stable, so a job group's first row comes first in its
+    # run; a program's rows sort by input, so take the least of its run.
+    program_first = np.full(pop, -1)
+    program_first[grouped[order]] = grouped[
+        np.minimum.reduceat(order, np.flatnonzero(new_program))
+    ][np.cumsum(new_program) - 1]
+    group_first = np.full(pop, -1)
+    group_first[grouped[order]] = grouped[order[new_job]][np.cumsum(new_job) - 1]
+
+    # -- stamp one row per group that fits --------------------------------
+    stamp = fit & (group_first == every)
+    keep = np.flatnonzero(stamp)
+    row_of = np.cumsum(stamp) - 1
     n_states_max = int(n_states[keep].max())
     accept = np.zeros((keep.size, n_states_max), dtype=bool)
-    a = fit[acc_row]
+    a = stamp[acc_row]
     accept[row_of[acc_row[a]], acc_loc[a]] = True
     halting = accept.copy()
-    r = fit[rej_row]
+    r = stamp[rej_row]
     halting[row_of[rej_row[r]], rej_loc[r]] = True  # the reference checks halt states first
 
-    rule = np.flatnonzero(fit[rule_row])
+    rule = np.flatnonzero(stamp[rule_row])
     rule = rule[~halting[row_of[rule_row[rule]], s_loc[rule]]]
     table = np.zeros(
         (keep.size, n_states_max, int((n_syms + n_extra)[keep].max())), dtype=np.int32
@@ -255,20 +316,31 @@ def compile_family(
     )
 
     tape = np.zeros((keep.size, int(lengths[keep].max()) + 2 * _PAD), dtype=np.uint8)
-    cells = np.flatnonzero(fit[char_row])
+    cells = np.flatnonzero(stamp[char_row])
     offset = np.arange(char_row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     tape[row_of[char_row[cells]], _PAD + offset[cells]] = char_loc[cells]
+    cand = np.asarray(cand)
+    fitting = np.flatnonzero(fit)
+    job_row = np.full(len(jobs), -1, dtype=np.int64)
+    job_row[cand[fitting]] = row_of[group_first[fitting]]
+    job_first = np.full(len(jobs), -1, dtype=np.int64)
+    job_first[cand[grouped]] = cand[program_first[grouped]]
     family = EnsembleFamily(
         table=table,
         accept=accept,
         initial=init_loc[keep].astype(np.int32),
         tape=tape,
         head=np.full(keep.size, _PAD, dtype=np.int64),
-        jobs=[jobs[cand[i]] for i in keep.tolist()],
+        jobs=[
+            jobs[cand[i]] if f == i else (machines[f], inputs[i])
+            for i, f in zip(keep.tolist(), program_first[keep].tolist())
+        ],
         symbols=symbol_names,
         alphabet=alphabet[keep, : table.shape[2]],
+        job_row=job_row,
+        job_first=job_first,
     )
-    return family, [cand[i] for i in keep.tolist()]
+    return family, cand[fitting].tolist()
 
 
 def lower_machine(

@@ -15,6 +15,12 @@ with *identical* results.  The honest halted / still-running
 trichotomy, step counts and tapes are preserved exactly: the property
 tests drive both paths over randomized enumerated families.
 
+The lowering is also the batch's dedup: equal jobs share one family
+row and one result object, grouped from the ids the lowering builds
+anyway, so a census makes no ``program_key`` call.  Only the jobs the
+family does not settle are content-interned
+(:func:`~repro.runtime.core.intern_jobs`) for the fallback loop.
+
 The backend exposes the chunk-level ``submit_chunk``/``recover``/
 ``close`` surface, so :class:`repro.faults.supervisor.SupervisedBackend`
 drives it unchanged: a crashed chunk is retried and the census comes
@@ -63,6 +69,15 @@ class EnsembleCapable(Protocol):
     at backend construction).  The contract mirrors the rest of the
     :class:`~repro.runtime.workload.Workload` protocol: pure hooks,
     results *identical* to ``run_direct``.
+
+    One condition more: the lowered machine's content (its class,
+    initial state, accept and reject states and ``delta``) must
+    determine the adapter's ``program_key``.  The backend dedups the
+    jobs it lowers by that content instead of keying them, so two
+    programs whose machines are content-equal must be one program to
+    the adapter.  Both adapters that implement the hooks (``machines``,
+    ``busybeaver``) key a program by its machine's
+    :func:`~repro.perf.engine.program_key`.
     """
 
     def ensemble_program(self, program: Any) -> Any:
@@ -84,20 +99,20 @@ def _same_jobs(old: list[Job], new: list[Job]) -> bool:
 class EnsembleBackend:
     """In-process lock-step execution with an exact per-machine fallback.
 
-    A batch is lowered in one family pass
+    A batch is lowered and deduped in one family pass
     (:func:`~repro.perf.ensemble_engine.compile_family`); nothing is
-    cached per machine.  The backend keeps only its *last* family,
-    reused when every job's program ``is`` the previous call's (a
-    census re-swept under a higher fuel).  The fallback loop runs
+    cached or keyed per machine.  The backend keeps only its *last*
+    family, reused when every job's program ``is`` the previous call's
+    (a census re-swept under a higher fuel).  The fallback loop runs
     through one :class:`~repro.runtime.core.ResidentCache`
     (``.residents``) kept for the backend's lifetime, as
     :class:`~repro.runtime.core.SerialBackend` keeps its own.
-    ``close()`` releases both.
-    ``min_population`` keeps tiny batches on the fallback path
-    where per-job dispatch is already optimal; the straggler cutoff
-    (default ``population // 64``) hands the long tail back to the
-    compiled engine, whose macro-stepping handles lone spinners better
-    than lock-step arrays do.
+    ``close()`` releases both.  ``min_population`` keeps tiny batches
+    on the fallback path where per-job dispatch is already optimal (it
+    counts the distinct jobs that fit); the straggler cutoff (default
+    ``population // 64``) hands the long tail back to the compiled
+    engine, whose macro-stepping handles lone spinners better than
+    lock-step arrays do.
     """
 
     name = "ensemble"
@@ -123,8 +138,8 @@ class EnsembleBackend:
         self.max_states = max_states
         self.max_symbols = max_symbols
         self.straggler_cutoff = straggler_cutoff
-        # The previous lowering, ``(jobs, family, rows)``, or None.
-        self._last: tuple[list[Job], Any, list[int]] | None = None
+        # The previous lowering, ``(jobs, family)``, or None.
+        self._last: tuple[list[Job], Any] | None = None
         self.residents = ResidentCache(workload)
         self.last_cache_stats: dict[str, int] = dict(_ZERO_STATS)
         self.last_dispatch: dict[str, int] = {}
@@ -167,7 +182,7 @@ class EnsembleBackend:
     # -- execution -----------------------------------------------------------
 
     def _run(self, jobs: Sequence[Job], *, fuel: int) -> tuple[list[Any], dict[str, int]]:
-        """Lower, partition, run, fall back.
+        """Lower, run the family, fall back.
 
         Returns ``(results, stats)``: one exact result per job in
         order, and the cache tallies plus the
@@ -178,9 +193,13 @@ class EnsembleBackend:
         fallback loop ran is its probe of the residents.  ``size`` is
         the residents' table size.
 
-        Jobs are content-interned first, exactly like the serial and
-        process backends: equal ``(program, input)`` jobs map to one
-        family row and *share one result object*.
+        The lowering keys the jobs: jobs with equal ``(program,
+        input)`` content share one family row and *one result object*,
+        exactly as :func:`~repro.runtime.core.intern_jobs` would pair
+        them, with no ``program_key`` per job.  Only the jobs the
+        family does not settle (ineligible programs, rows over the
+        caps, abandoned stragglers, or every job when no family runs)
+        are content-interned, by ``intern_jobs``, for the fallback loop.
 
         When every job's program ``is`` the one at the same position
         in the previous lowering (with an equal input), that family
@@ -200,81 +219,82 @@ class EnsembleBackend:
         }
         if not jobs:
             return [], stats
-        unique, slots, keys = intern_jobs(workload, jobs)
-        stats["unique_jobs"] = len(unique)
-        stats["deduped"] = len(jobs) - len(unique)
-        # A deduped duplicate reuses a settled row without even a
-        # cache probe — the purest hit there is (mirrors SerialBackend).
-        stats["hits"] += stats["deduped"]
-        # Run every job on the first program with its key, as the
-        # serial path runs them all on that program's one resident:
-        # content-equal machines then decode to the same objects.
-        # In place: a new list of 10^4 job tuples can set off a
-        # full garbage collection mid-census.
-        first: dict[Any, Any] = {}
-        for u, key in enumerate(keys):
-            program, input = unique[u]
-            if first.setdefault(key, program) is not program:
-                unique[u] = (first[key], input)
-        unique_results: list[Any] = [None] * len(unique)
-        row_of_unique = [-1] * len(unique)
+        results: list[Any] = [None] * len(jobs)
+        fallback = list(range(len(jobs)))
+        first: list[int] = []
 
         # -- lower the whole family at once, lock-step the rows that fit -----
-        ran_family = False
-        if len(unique) >= self.min_population:
+        if len(jobs) >= self.min_population:
             get_machine = workload.ensemble_program
             lowered = []
-            for program, input in unique:
+            for job in jobs:
                 try:
-                    lowered.append((get_machine(program), input))
+                    machine = get_machine(job[0])
                 except EnsembleIneligible:
-                    lowered.append((None, input))
+                    machine = None
+                # The job itself when it lowers to its own program: a new
+                # tuple per job can set off a full garbage collection.
+                lowered.append(job if machine is job[0] else (machine, job[1]))
             reused = self._last is not None and _same_jobs(self._last[0], lowered)
             if reused:
-                _, family, rows = self._last
+                family = self._last[1]
             else:
-                family, rows = compile_family(
+                family, _ = compile_family(
                     lowered, max_states=self.max_states, max_symbols=self.max_symbols
                 )
-                self._last = (lowered, family, rows)
-            # Too few rows fit to amortise array setup: all take the warm path.
-            if len(rows) >= self.min_population:
+                self._last = (lowered, family)
+            # Too few distinct rows fit to amortise array setup: all take the warm path.
+            if family is not None and family.population >= self.min_population:
                 cutoff = (
                     self.straggler_cutoff
                     if self.straggler_cutoff is not None
-                    else max(0, len(rows) // 64)
+                    else max(0, family.population // 64)
                 )
                 outcome = run_family(family, fuel=fuel, straggler_cutoff=cutoff)
                 family_results = workload.ensemble_results(outcome)
-                settled = 0
-                for row, (u, abandoned) in enumerate(zip(rows, outcome.abandoned.tolist())):
-                    if not abandoned:  # abandoned rows rerun from scratch below
-                        unique_results[u] = family_results[row]
-                        row_of_unique[u] = row
-                        settled += 1
+                row = family.job_row.copy()
+                fits = row >= 0
+                row[fits & outcome.abandoned[row]] = -1  # rerun from scratch below
+                row = row.tolist()
+                results = [family_results[e] if e >= 0 else None for e in row]
+                fallback = [j for j, e in enumerate(row) if e < 0]
+                first = family.job_first.tolist()
+                settled = family.population - int(outcome.abandoned.sum())
+                stats["unique_jobs"] = settled
                 # The rest are counted by the fallback loop's probes.
                 stats["hits" if reused else "misses"] += settled
+                stats["ensemble_jobs"] = len(jobs) - len(fallback)
                 stats["lock_steps"] = outcome.lock_steps
-                ran_family = True
 
         # -- the fallback loop: the exact warm per-machine path --------------
-        fallback = [u for u, row in enumerate(row_of_unique) if row < 0]
         if fallback:
-            fb_jobs = [unique[u] for u in fallback]
-            fb_results, fb, _ = _run_chunk(workload, fb_jobs, fuel, self.residents)
-            for u, result in zip(fallback, fb_results):
-                unique_results[u] = result
+            # Run every job on the first program with its content, as the
+            # serial path runs them all on that program's one resident:
+            # content-equal machines then decode to the same objects.  The
+            # family names that program for the machines it grouped, the
+            # keys for the rest, which no grouped machine can equal.
+            fb_jobs = [
+                (jobs[first[j]][0], jobs[j][1]) if first and first[j] >= 0 else jobs[j]
+                for j in fallback
+            ]
+            unique, slots, keys = intern_jobs(workload, fb_jobs)
+            by_key: dict[Any, Any] = {}
+            for u, key in enumerate(keys):
+                program, input = unique[u]
+                if by_key.setdefault(key, program) is not program:
+                    unique[u] = (by_key[key], input)
+            fb_results, fb, _ = _run_chunk(workload, unique, fuel, self.residents)
+            for j, s in zip(fallback, slots):
+                results[j] = fb_results[s]
+            stats["unique_jobs"] += len(unique)
             stats["hits"] += fb["hits"]
             stats["misses"] += fb["misses"]
             stats["size"] = fb["size"]
-
-        # -- expand back to job order (duplicates share one object) ----------
-        results = [unique_results[s] for s in slots]
-        if ran_family:
-            stats["ensemble_jobs"] = sum(1 for s in slots if row_of_unique[s] >= 0)
-            stats["fallback_jobs"] = len(jobs) - stats["ensemble_jobs"]
-        elif fallback:
-            stats["fallback_jobs"] = len(jobs)
+            stats["fallback_jobs"] = len(fallback)
+        stats["deduped"] = len(jobs) - stats["unique_jobs"]
+        # A deduped duplicate reuses a settled row without even a cache
+        # probe — the purest hit there is (mirrors SerialBackend).
+        stats["hits"] += stats["deduped"]
         return results, stats
 
     def execute(self, jobs: Sequence[Job], *, fuel: int) -> list[Any]:

@@ -4,7 +4,9 @@ deterministic machine enumerator."""
 
 import gc
 import pickle
+import random
 import weakref
+from collections import defaultdict
 
 import pytest
 
@@ -26,13 +28,14 @@ from repro.machines.turing import (
 )
 from repro.obs.instrument import observed
 from repro.perf import ensemble_engine
+from repro.perf.engine import program_key
 from repro.perf.ensemble_engine import (
     EnsembleIneligible,
     compile_family,
     lower_machine,
     run_family,
 )
-from repro.runtime import run_jobs
+from repro.runtime import ensemble, run_jobs
 from repro.runtime.ensemble import EnsembleBackend
 from repro.runtime.workloads.busybeaver import BUSYBEAVER
 from repro.runtime.workloads.machines import MACHINES
@@ -486,3 +489,164 @@ def test_ensemble_observability_counters():
     assert obs.registry.total("ensemble_machines_total") == 40
     assert obs.registry.total("ensemble_lock_steps_total") > 0
     assert obs.registry.total("ensemble_fallback_jobs_total") == 0
+
+
+# -- keying in the lowering: groups instead of a program_key per job ---------
+
+
+class _SubMachine(TuringMachine):
+    """Equal content under another class: its key is never the base's."""
+
+
+def _halting_variants(machine, suffix):
+    """The renamed machine under several accept and reject sets, some
+    naming states no rule reaches."""
+    base = _renamed(machine, suffix)
+    accept, reject = set(base.accept_states), set(base.reject_states)
+    spare = {"halt" + suffix, "stop" + suffix}
+    return [
+        TuringMachine(base.delta, base.initial, frozenset(a), frozenset(r))
+        for a, r in (
+            (accept, reject),
+            (accept | spare, reject),
+            (accept, reject | spare),
+            (accept | {"halt" + suffix}, reject | {"stop" + suffix, "fail" + suffix}),
+        )
+    ]
+
+
+def _grouping_jobs(seed):
+    rng = random.Random(seed)
+    tapes = ("", "1", "11", "1x1", "ab", "1+1", "abcdefgh")
+    jobs = []
+    for n in (2, 3, 4):
+        jobs += [(m, rng.choice(tapes)) for m in enumerate_machines(n, 12, seed=seed + n)]
+    for i, make in enumerate(LIBRARY):
+        for _ in range(2):  # content-equal copies whose names are distinct objects
+            jobs += [(m, rng.choice(tapes)) for m in _halting_variants(make(), f"_{i}")]
+    for machine, tape in rng.sample(jobs, 8):
+        jobs.append((_SubMachine(machine.delta, machine.initial,
+                                 machine.accept_states, machine.reject_states), tape))
+    jobs += rng.sample(jobs, 20)  # the very same objects again
+    jobs += pickle.loads(pickle.dumps(rng.sample(jobs, 20)))
+    jobs += [(machine, rng.choice(tapes)) for machine, _ in rng.sample(jobs, 20)]
+    rng.shuffle(jobs)
+    return jobs
+
+
+@pytest.mark.parametrize(
+    "caps", [{}, {"max_states": 5, "max_symbols": 4}], ids=["default", "tight"]
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_family_groups_are_program_key_groups(seed, caps):
+    """Two fitting jobs share a family row exactly when their
+    ``(program_key(machine), input)`` are equal, and every job's
+    ``job_first`` is the first job whose machine has its key: over
+    same-object duplicates, pickled copies, renamed machines with
+    several accept and reject states, a subclass and mixed inputs."""
+    jobs = _grouping_jobs(seed)
+    family, rows = compile_family(jobs, **caps)
+    keys = [(program_key(m), tape) for m, tape in jobs]
+    by_row, by_key = defaultdict(list), defaultdict(list)
+    for j in rows:
+        by_row[int(family.job_row[j])].append(j)
+        by_key[keys[j]].append(j)
+    assert sorted(by_row.values()) == sorted(by_key.values())
+    assert family.population == len(by_row)
+    assert any(len({id(jobs[j][0]) for j in group}) > 1 for group in by_row.values())
+    first = {}
+    for j, (machine, _) in enumerate(jobs):
+        first.setdefault(program_key(machine), j)
+    for j in rows:
+        f = int(family.job_first[j])
+        assert f == first[keys[j][0]]
+        assert family.jobs[int(family.job_row[j])][0] is jobs[f][0]
+    assert (family.job_row < 0).sum() == len(jobs) - len(rows)
+    if caps:  # over the caps: some by their own machine, some by their input
+        assert len(rows) < len(jobs)
+
+
+def _count_keys(monkeypatch, workload):
+    keyed = []
+    key = type(workload).program_key
+
+    def counting_key(self, program):
+        keyed.append(program)
+        return key(self, program)
+
+    monkeypatch.setattr(type(workload), "program_key", counting_key)
+    return keyed
+
+
+def test_fitting_census_makes_no_program_key_calls(monkeypatch):
+    """The lowering keys a census that fits: no ``program_key`` call
+    through the backend or ``score_sweep``; ineligible jobs are the
+    only ones keyed, and the results stay exact."""
+    keyed = _count_keys(monkeypatch, BUSYBEAVER)
+    machines = enumerate_machines(4, 200, seed=21)
+    jobs = [(m, "") for m in machines]
+    backend = EnsembleBackend(BUSYBEAVER)
+    assert backend.execute(jobs, fuel=FUEL) == reference(BUSYBEAVER, jobs)
+    assert backend.last_dispatch["ensemble_jobs"] == 200
+    assert score_sweep(machines, fuel=FUEL) == score_sweep(machines, fuel=FUEL, backend="serial")
+    del keyed[:]  # the serial sweep keys its own jobs
+    score_sweep(machines, fuel=FUEL)
+    assert keyed == []
+    # 3-state machines fit under max_states=4; 5-state ones do not.
+    small = family_jobs(3, 60, seed=22)
+    big = family_jobs(4, 6, seed=23)
+    mixed = small[:30] + big + small[30:] + big[:2]
+    backend = EnsembleBackend(BUSYBEAVER, max_states=4)
+    got = backend.execute(mixed, fuel=FUEL)
+    assert {id(program) for program in keyed} == {id(m) for m, _ in big}
+    assert got == reference(BUSYBEAVER, mixed)
+    assert got[-2] is got[30] and got[-1] is got[31]
+    assert backend.last_dispatch["fallback_jobs"] == 8
+    assert backend.last_dispatch["unique_jobs"] == 66
+    assert backend.last_dispatch["deduped"] == 2
+
+
+def test_content_equal_machines_split_between_family_and_fallback():
+    """Content-equal renamed machines, some on an input with too many
+    symbols for the family or on a tape that is not a ``str``: every
+    job decodes from the first machine with its content, whichever
+    path ran it, as on the serial path."""
+    jobs = []
+    for n in range(24):
+        make = LIBRARY[n % len(LIBRARY)]
+        first, second = _renamed(make(), f"_state{n}"), _renamed(make(), f"_state{n}")
+        if n % 3 == 0:  # the fallback job comes first
+            jobs += [(second, "1a1b1+x"), (first, "1"), (second, "11"), (first, "")]
+        elif n % 3 == 1:
+            jobs += [(first, "1"), (second, "1a1b1+x"), (first, ""), (second, "11")]
+        else:
+            jobs += [(second, tuple("11")), (first, "1"), (second, ""), (first, "1a1b1+x")]
+    serial = run_jobs("machines", jobs, fuel=FUEL, backend="serial")
+    backend = EnsembleBackend(MACHINES, max_symbols=4)
+    assert pickle.dumps(backend.execute(jobs, fuel=FUEL)) == pickle.dumps(serial)
+    assert backend.last_dispatch["ensemble_jobs"] > 0
+    assert backend.last_dispatch["fallback_jobs"] >= 24
+
+
+def test_census_trace_seams_are_module_globals(monkeypatch):
+    """perfbench's census trace wraps ``compile_family``, ``run_family``
+    and ``lower_machine`` on :mod:`repro.runtime.ensemble`: the backend
+    must call the first two through those module globals, or the traced
+    ``ensemble.*`` layers read zero with nothing failing."""
+    for name in ("compile_family", "run_family", "lower_machine"):
+        assert callable(getattr(ensemble, name))
+    calls = defaultdict(int)
+    for name in ("compile_family", "run_family"):
+        real = getattr(ensemble, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, name, counted)
+    jobs = family_jobs(3, 40, seed=24)
+    backend = EnsembleBackend(BUSYBEAVER)
+    first = backend.execute(jobs, fuel=FUEL)
+    assert dict(calls) == {"compile_family": 1, "run_family": 1}
+    assert backend.execute(jobs, fuel=FUEL) == first  # the last family, run again
+    assert dict(calls) == {"compile_family": 1, "run_family": 2}
