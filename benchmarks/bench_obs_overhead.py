@@ -66,10 +66,13 @@ MAX_TELEMETRY_OVERHEAD_PCT = 10.0
 def measure_disabled_overhead(smoke: bool, *, repeats: int) -> dict:
     """Hot loop vs instrumented wrapper, instrumentation off.
 
-    The workload (a long unary binary-increment) spends milliseconds
-    per run in the per-step loop, so the once-per-run wrapper cost is
-    measured where it is smallest relative to real work — which is
-    exactly the promise the gate checks: per-run, never per-step.
+    The workload (binary increment of a long run of ones) is two
+    macro-stepped runs, the identity scan right and the rewriting
+    carry left, so a run costs a few hundred microseconds at full size,
+    most of it rendering the tape, rather than milliseconds of per-step
+    loop.  The once-per-run wrapper cost is still measured against
+    real engine work, which is the promise the gate checks: per-run,
+    never per-step.
     """
     machine = binary_increment()
     tape = "1" * (5_000 if smoke else 20_000)

@@ -79,7 +79,7 @@ class NodeServer:
         # Node-local resident table for the serial path; never the
         # module-global _WORKER, so loopback nodes sharing one
         # interpreter keep independent generations.
-        self._table: dict = {"generation": -1, "programs": {}, "machines": {}}
+        self._table: dict = _core._resident_table()
 
     # -- wire ----------------------------------------------------------------
 
@@ -128,11 +128,7 @@ class NodeServer:
         if self.workers >= 1:
             self._rebuild_pool()
         else:
-            self._table = {
-                "generation": generation,
-                "programs": {},
-                "machines": dict(self._sources),
-            }
+            self._table = _core._resident_table(generation, self._sources.items())
         self._reply(
             "sharded",
             {

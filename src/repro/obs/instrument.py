@@ -59,7 +59,7 @@ KNOWN_METRICS: dict[str, tuple[str, str]] = {
     "engine_runs_total": ("counter", "compiled-machine runs started"),
     "engine_steps_total": ("counter", "steps executed by compiled runs"),
     "engine_halts_total": ("counter", "compiled runs that halted"),
-    "engine_macro_skips_total": ("counter", "macro-stepped self-scan cells skipped"),
+    "engine_macro_skips_total": ("counter", "macro steps taken, each a same-state run or spin"),
     # batch (per chunk / per execute)
     "tm_jobs_total": ("counter", "jobs submitted through run_many"),
     "tm_steps_total": ("counter", "sum of per-result step counts"),
@@ -90,7 +90,7 @@ KNOWN_METRICS: dict[str, tuple[str, str]] = {
     "ensemble_lock_steps_total": ("counter", "lock-step iterations across families"),
     "ensemble_fallback_jobs_total": ("counter", "jobs routed to the per-machine fallback"),
     # engine internals (per compiled run)
-    "engine_macro_cells_total": ("counter", "tape cells crossed by macro-stepped scans"),
+    "engine_macro_cells_total": ("counter", "steps taken inside macro steps, one per run cell"),
     "engine_tape_grows_total": ("counter", "tape window extensions during compiled runs"),
     # busy-beaver sweeps and halting surveys
     "bb_runs_total": ("counter", "busy-beaver candidate runs started"),

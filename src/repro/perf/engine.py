@@ -10,7 +10,13 @@ machine, and flatten the transition map into a flat list indexed by
 
 The Turing-machine tape becomes a growable ``bytearray`` with
 amortised doubling at both ends instead of a dict-per-cell, which is
-both faster and cache-friendly.
+both faster and cache-friendly.  Same-state runs — a state sliding
+its head one way over symbols it rewrites (or leaves alone) without
+changing state, like a scan or a carry — are macro-stepped: one
+C-speed ``find``/``rfind`` for the run's end and one slice
+``translate`` for its rewrites, instead of one loop iteration per cell
+(the standard busy-beaver simulator acceleration; Marxen & Buntrock,
+"Attacking the Busy Beaver 5", 1990).
 
 Equivalence contract: for every machine and input,
 ``compile_tm(m).run(x, fuel=f)`` returns a :class:`TMResult` whose
@@ -54,6 +60,7 @@ __all__ = [
 # Symbols intern into one tape byte; every state row has 256 slots so
 # a tape byte addresses its slot directly with no range check.
 _MAX_SYMBOLS = 256
+_IDENTITY = bytes(range(_MAX_SYMBOLS))  # the translate table that rewrites nothing
 
 # Minimum head-to-edge margin before a segment starts; below this the
 # tape doubles.  Also the cap on the initial padding of each side.
@@ -140,16 +147,30 @@ class CompiledTM:
     raises ``TypeError``, so the steady state pays no halt branch at
     all (zero-cost exceptions).
 
-    Identity self-scans — rules ``(q, c) -> (q, c, d)`` that slide the
-    head over a symbol without changing anything — compile to a
-    *macro* slot ``(move_offset, terminator_bytes)`` instead.
-    Unpacking one into three names raises ``ValueError``, and the
-    handler skips the whole run of absorbed symbols with a C-speed
-    ``find``/``rfind`` for the nearest terminator, charging one step
-    per skipped cell.  Linear scans (and in-place spins) cost O(1)
-    Python operations instead of one interpreter iteration per cell,
-    which is where the bulk of the speedup comes from; the observable
-    result — steps, tape, state — is unchanged.
+    Same-state runs compile to *macro* slots.  State ``q``'s run set
+    in direction ``d`` (L or R) is the symbols ``c`` with
+    ``delta[q, c] == (q, w_c, d)``: on any of them the machine writes
+    ``w_c``, moves on and stays in ``q``.  A macro slot is the 4-tuple
+    ``(move_offset, terminator_bytes, rewrite_table, row)``; unpacking
+    it into three names raises ``ValueError``, and the handler takes
+    the whole maximal run at once — a C-speed ``find``/``rfind`` for
+    the nearest terminator (a symbol outside the run set), one slice
+    ``bytearray.translate`` through the 256-byte ``rewrite_table``
+    (``None`` for identity scans, which skip it), one step charged per
+    cell — and resumes in ``row``, ``q``'s own row.  A scan or a carry
+    costs O(1) Python operations instead of one interpreter iteration
+    per cell, which is where the bulk of the speedup comes from; the
+    observable result — steps, tape, state — is unchanged.
+
+    A run's first cell stays a plain step: ``q``'s row sends each
+    run-set symbol into ``q``'s *continuation row*, a copy of the row
+    whose run-set slots are the macros, so a macro fires only on a
+    run's second cell and a one-cell run never pays its exception.
+    ``rows`` holds the state rows only (``describe`` counts their
+    rules); ``row_ids`` maps every row, continuation rows included, to
+    its state id.  Identity spins ``(q, c) -> (q, c, S)`` are macros
+    with offset 0 that burn the remaining fuel; other STAY rules are
+    plain steps.
     """
 
     source: TuringMachine
@@ -269,29 +290,34 @@ class CompiledTM:
             except TypeError:  # unpacked None: halt state or missing rule
                 halted = True
                 break
-            except ValueError:  # unpacked a 2-tuple: macro scan slot
-                move, terms = row[tape[head]]
+            except ValueError:  # unpacked a 4-tuple: a same-state run
+                move, terms, table, row = row[tape[head]]
                 remaining = fuel - steps
                 if extras:
                     terms += extras
+                # The run ends at the nearest terminator; with none on
+                # the tape it reaches the edge, and after the tape grows
+                # the next cell starts a new run.
                 if move == 1:
-                    stop = -1
+                    stop = size
                     for t in terms:
-                        j = tape.find(t, head)
-                        if j >= 0 and (stop < 0 or j < stop):
+                        j = tape.find(t, head, stop)
+                        if j >= 0:
                             stop = j
-                    # No terminator yet: absorb to the edge, grow, rescan.
-                    k = stop - head if stop >= 0 else size - head
+                    k = stop - head if stop - head < remaining else remaining
+                    if table is not None:
+                        tape[head : head + k] = tape[head : head + k].translate(table)
                 elif move == -1:
                     stop = -1
                     for t in terms:
-                        j = tape.rfind(t, 0, head + 1)
-                        if j > stop:
+                        j = tape.rfind(t, stop + 1, head + 1)
+                        if j >= 0:
                             stop = j
-                    k = head - stop if stop >= 0 else head + 1
+                    k = head - stop if head - stop < remaining else remaining
+                    if table is not None:
+                        start = head + 1 - k
+                        tape[start : head + 1] = tape[start : head + 1].translate(table)
                 else:  # in-place spin: burns the rest of the fuel
-                    k = remaining
-                if k > remaining:
                     k = remaining
                 head += move * k
                 steps += k
@@ -341,6 +367,12 @@ def tm_symbols(machine: TuringMachine) -> list[str]:
 def compile_tm(machine: TuringMachine) -> CompiledTM:
     """Intern states/symbols and flatten ``delta`` into a flat table.
 
+    Every rule fills one slot of its state's row.  A same-state rule
+    that moves fills two (see :class:`CompiledTM`): a plain step into
+    the state's continuation row, and there the run's macro, whose
+    terminators are the alphabet symbols outside the run set and whose
+    rewrite table sends each run-set symbol to the symbol it writes.
+
     Raises ``ValueError`` for machines whose tape alphabet exceeds 256
     symbols (they cannot be interned into a byte; use the reference
     interpreter or :func:`run_compiled`, which falls back).
@@ -356,24 +388,34 @@ def compile_tm(machine: TuringMachine) -> CompiledTM:
 
     halting = machine.accept_states | machine.reject_states
     rows: list[list[tuple | None]] = [[None] * _MAX_SYMBOLS for _ in state_names]
+    # runs[q, offset] is q's run set in that direction: symbol -> write.
+    runs: dict[tuple[int, int], dict[int, int]] = {}
     for (s, sym), (t, wsym, move) in machine.delta.items():
         if s in halting:
             continue  # the reference checks halt states before rules
-        if t == s and wsym == sym:
-            # Identity self-scan: emit a macro slot.  Terminators are
-            # every alphabet symbol this state does *not* absorb in
-            # the same direction.
-            absorbed = {
-                c for c in symbol_names if machine.delta.get((s, c)) == (s, c, move)
-            }
-            terms = tuple(symbol_ids[c] for c in symbol_names if c not in absorbed)
-            rows[state_ids[s]][symbol_ids[sym]] = (MOVE_OFFSET[move], terms)
+        q, c, w, offset = state_ids[s], symbol_ids[sym], symbol_ids[wsym], MOVE_OFFSET[move]
+        if t == s and offset:
+            runs.setdefault((q, offset), {})[c] = w
+        elif t == s and w == c:  # identity spin: a macro that burns the fuel
+            rows[q][c] = (0, (), None, rows[q])
         else:
-            rows[state_ids[s]][symbol_ids[sym]] = (
-                rows[state_ids[t]],
-                symbol_ids[wsym],
-                MOVE_OFFSET[move],
-            )
+            rows[q][c] = (rows[state_ids[t]], w, offset)
+    row_ids = {id(row): q for q, row in enumerate(rows)}
+    continuations: dict[int, list[tuple | None]] = {}
+    for (q, offset), rewrites in runs.items():
+        row = rows[q]
+        cont = continuations.get(q)
+        if cont is None:  # copied before any run-set slot is filled
+            cont = continuations[q] = list(row)
+            row_ids[id(cont)] = q
+        terms = tuple(b for b in range(len(symbol_names)) if b not in rewrites)
+        table = bytearray(_IDENTITY)
+        for c, w in rewrites.items():
+            table[c] = w
+        macro = (offset, terms, None if table == _IDENTITY else bytes(table), row)
+        for c, w in rewrites.items():
+            row[c] = (cont, w, offset)
+            cont[c] = macro
     accept_flags = [s in machine.accept_states for s in state_names]
     chars = [(ord(c), i) for c, i in symbol_ids.items() if isinstance(c, str) and len(c) == 1]
     return CompiledTM(
@@ -385,7 +427,7 @@ def compile_tm(machine: TuringMachine) -> CompiledTM:
         accept_flags=accept_flags,
         state_ids=state_ids,
         symbol_ids=symbol_ids,
-        row_ids={id(row): i for i, row in enumerate(rows)},
+        row_ids=row_ids,
         intern={code: chr(i) for code, i in chars},
         known=dict.fromkeys(code for code, _ in chars),
         render=_render_table(symbol_names),

@@ -45,7 +45,7 @@ import os
 import pickle
 import time
 from collections import OrderedDict, deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Any, Protocol
 
@@ -237,21 +237,36 @@ def _run_chunk(
 # Worker-side resident state (process-pool side of payload interning)
 # ---------------------------------------------------------------------------
 
-# One resident table per worker process: program id -> prepared program
-# (or _UNPREPARABLE), plus the program sources to prepare from.
-# Sources arrive either through the pool initializer (warm seeding —
-# under fork they transfer by inheritance, zero pickles) or shipped
-# inside a chunk payload (at most once per chunk for an unseeded
-# program).  Preparation is lazy and counted as a miss in the chunk
-# that triggers it; later jobs on the same worker are hits.
-_WORKER: dict = {"generation": -1, "programs": {}, "machines": {}}
+#: Program ids a coordinator keeps registered between batches, and
+#: residents a worker or node table keeps.  A batch may use more ids;
+#: the registry is trimmed back once it settles.
+TABLE_SIZE = 4096
+
+
+def _resident_table(generation: int = -1, seeds: Iterable[tuple[int, Any]] = ()) -> dict:
+    """A worker's or node's resident table for one generation.
+
+    ``programs`` maps program id -> ``(resident, source)`` in
+    least-recently-used order, at most :data:`TABLE_SIZE` of them;
+    ``machines`` holds the seeded sources.  Sources arrive either
+    through the pool initializer (warm seeding — under fork they
+    transfer by inheritance, zero pickles) or shipped inside a chunk
+    payload, which the coordinator does for an unseeded program in
+    every chunk that uses it.  So an evicted shipped program is simply
+    forgotten, and an evicted seeded one is prepared again from its
+    seeded source.  Preparation is lazy and counted as a miss in the
+    chunk that triggers it; later jobs on the same table are hits.
+    """
+    return {"generation": generation, "programs": OrderedDict(), "machines": dict(seeds)}
+
+
+# One resident table per worker process.
+_WORKER: dict = _resident_table()
 
 
 def _worker_warm(generation: int, seeds: Sequence[tuple[int, Any]]) -> None:
     """Pool initializer: install this generation's seeded sources."""
-    _WORKER["generation"] = generation
-    _WORKER["programs"] = {}
-    _WORKER["machines"] = dict(seeds)
+    _WORKER.update(_resident_table(generation, seeds))
 
 
 def _execute_entries(
@@ -268,36 +283,39 @@ def _execute_entries(
     ``shipped`` the program sources for ids the master could not
     assume resident.  A generation older than the payload's means the
     table belongs to a pre-restart pool: it is dropped wholesale
-    before any entry is served.
+    before any entry is served.  A source is looked up in ``shipped``
+    first, so an entry still finds it after an earlier entry of the
+    same chunk evicted its program.
 
     ``table`` defaults to the per-process :data:`_WORKER` state; the
-    comm layer's in-process loopback nodes pass their own dicts so two
+    comm layer's in-process loopback nodes pass their own tables so two
     node threads sharing one process never share (and never thrash)
     one generation-tagged table.
     """
     start = time.perf_counter()
     worker = table if table is not None else _WORKER
     if worker["generation"] != generation:
-        worker["generation"] = generation
-        worker["programs"] = {}
-        worker["machines"] = {}
-    machines = worker["machines"]
-    if shipped:
-        machines.update(shipped)
+        worker.update(_resident_table(generation))
+    seeded = worker["machines"]
     programs = worker["programs"]
     hits = misses = 0
     results: list[Any] = []
     for pid, input in entries:
-        resident = programs.get(pid)
-        if resident is None:
-            source = machines.get(pid)
+        entry = programs.get(pid)
+        if entry is None:
+            source = shipped.get(pid)
             if source is None:
-                raise ProgramNotResident(f"program {pid} not resident (gen {generation})")
+                source = seeded.get(pid)
+                if source is None:
+                    raise ProgramNotResident(f"program {pid} not resident (gen {generation})")
             misses += 1
-            resident = programs[pid] = _prepare(workload, source)
+            entry = programs[pid] = (_prepare(workload, source), source)
+            if len(programs) > TABLE_SIZE:
+                programs.popitem(last=False)
         else:
             hits += 1
-        results.append(_run_resident(workload, resident, machines[pid], input, fuel))
+            programs.move_to_end(pid)
+        results.append(_run_resident(workload, *entry, input, fuel))
     stats = {"hits": hits, "misses": misses, "size": len(programs)}
     return results, stats, time.perf_counter() - start
 
@@ -437,11 +455,6 @@ class SerialBackend:
                 self.name, self.last_cache_stats["hits"], self.last_cache_stats["misses"]
             )
         return results
-
-
-#: Program ids a coordinator keeps registered between batches.  A
-#: batch may use more; the registry is trimmed back once it settles.
-TABLE_SIZE = 4096
 
 
 class Coordinator:

@@ -25,7 +25,12 @@ from repro.obs.instrument import observed
 from repro.perf.batch import run_many
 from repro.perf.engine import program_key
 from repro.runtime import ProcessBackend, ProgramNotResident, SerialBackend, intern_jobs
-from repro.runtime.core import _run_workload_chunk
+from repro.runtime.core import (
+    TABLE_SIZE,
+    _execute_entries,
+    _resident_table,
+    _run_workload_chunk,
+)
 from repro.runtime.workloads.machines import MACHINES as TM_WORKLOAD
 
 MACHINES = [binary_increment, palindrome_checker, copier, unary_adder]
@@ -232,6 +237,48 @@ def test_stale_generation_payload_resets_worker_table():
 def test_worker_rejects_unknown_program_id():
     with pytest.raises(ProgramNotResident):
         _run_workload_chunk((TM_WORKLOAD, 7, [(99, "1")], {}, 10_000))
+
+
+def one_rule_machine(i: int) -> TuringMachine:
+    return TuringMachine.from_rules([(f"q{i}", "1", f"q{i}", "0", "R")], initial=f"q{i}")
+
+
+def test_worker_table_stays_bounded_across_rounds():
+    # Four rounds of 3,000 distinct programs, each sharing 1,500 with
+    # the round before: the worker keeps at most TABLE_SIZE residents.
+    machines = [one_rule_machine(i) for i in range(7_500)]
+    backend = ProcessBackend(TM_WORKLOAD, workers=1)
+    try:
+        for start in range(0, 6_000, 1_500):
+            jobs = [(m, "11") for m in machines[start : start + 3_000]]
+            expected = [TM_WORKLOAD.run_direct(m, tape, 100) for m, tape in jobs]
+            assert backend.execute(jobs, fuel=100) == expected
+            assert backend.last_cache_stats["size"] <= TABLE_SIZE
+    finally:
+        backend.close()
+
+
+def test_worker_table_evicts_least_recently_used_programs():
+    n = TABLE_SIZE + 10
+    seeded = one_rule_machine(0)
+    shipped = {pid: one_rule_machine(pid) for pid in range(1, n + 1)}
+    table = _resident_table(3, [(0, seeded)])
+    # One chunk names n distinct programs twice: the second pass finds
+    # each evicted source again in the chunk's own shipped map.
+    entries = [(0, "1")] + [(pid, "1") for pid in shipped] * 2
+    results, stats, _ = _execute_entries(TM_WORKLOAD, 3, entries, shipped, 100, table)
+    programs = {0: seeded, **shipped}
+    assert results == [TM_WORKLOAD.run_direct(programs[pid], "1", 100) for pid, _ in entries]
+    assert stats == {"hits": 0, "misses": len(entries), "size": TABLE_SIZE}
+    # The evicted seeded program is prepared again from its seeded source...
+    results, stats, _ = _execute_entries(TM_WORKLOAD, 3, [(0, "11")], {}, 100, table)
+    assert results == [seeded.run("11", fuel=100)]
+    assert stats == {"hits": 0, "misses": 1, "size": TABLE_SIZE}
+    # ...while an evicted shipped program is gone until it ships again.
+    with pytest.raises(ProgramNotResident):
+        _execute_entries(TM_WORKLOAD, 3, [(1, "1")], {}, 100, table)
+    results, stats, _ = _execute_entries(TM_WORKLOAD, 3, [(n, "1")], {}, 100, table)
+    assert stats["hits"] == 1  # recently used programs stay resident
 
 
 def test_fork_pid_guard_rebuilds_pool():

@@ -327,3 +327,133 @@ def test_program_key_memo_does_not_keep_machines_alive():
     assert len(engine._KEY_MEMO) == before
     assert all(ref() is None for ref in refs)
     assert len(keys) == 500
+
+
+# -- Same-state runs ------------------------------------------------------------
+
+
+@st.composite
+def run_machines(draw):
+    """Machines built around same-state runs: each state rewrites some
+    symbols of ``_01a`` while staying put in L and/or R, plus a few
+    other rules (including STAY rules and moves to other states)."""
+    states = STATES[: draw(st.integers(1, 4))]
+    delta = {}
+    for s in states:
+        for move in draw(st.sampled_from([("L",), ("R",), ("L", "R"), ("R", "L")])):
+            for c in draw(st.frozensets(st.sampled_from(SYMBOLS), min_size=1)):
+                delta[(s, c)] = (s, draw(st.sampled_from(SYMBOLS)), move)
+    others = st.tuples(
+        st.sampled_from(states), st.sampled_from(SYMBOLS), st.sampled_from(["L", "R", "S"])
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        delta[(draw(st.sampled_from(states)), draw(st.sampled_from(SYMBOLS)))] = draw(others)
+    accept = draw(st.frozensets(st.sampled_from(states), max_size=1))
+    reject = draw(st.frozensets(st.sampled_from(states), max_size=1)) - accept
+    return TuringMachine(delta, draw(st.sampled_from(states)), accept, reject)
+
+
+# Blocks of one symbol make long runs; ``x`` is in no machine's table.
+run_tapes = st.lists(
+    st.tuples(st.sampled_from("01a_x"), st.integers(1, 60)), max_size=5
+).map(lambda blocks: "".join(c * n for c, n in blocks))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    machine=run_machines(),
+    tape_input=run_tapes,
+    fuel=st.sampled_from([0, 1, 2, 7, 100, 3000, 100_000]),
+)
+def test_run_machine_equivalence(machine, tape_input, fuel):
+    assert_same_result(machine, tape_input, fuel)
+
+
+def test_fuel_cut_in_every_cell_of_the_scan_and_the_carry():
+    machine = binary_increment()
+    full = machine.run("1" * 200, fuel=100_000)
+    assert full.steps == 402  # 200 scan steps, 201 carry steps, the final write
+    for fuel in range(full.steps + 2):
+        assert_same_result(machine, "1" * 200, fuel)
+
+
+@pytest.mark.parametrize("move", ["L", "R"])
+def test_rewrite_run_grows_the_tape_at_either_edge(move):
+    writer = TuringMachine.from_rules([("s", BLANK, "s", "1", move)], initial="s")
+    for fuel in (10, 5_000, 100_000):
+        assert_same_result(writer, "", fuel)
+
+
+def test_one_state_with_runs_in_both_directions():
+    # Right over 0s turning them to a, left over 1s turning them to 0;
+    # a blank turns the head round, so runs chain back and forth.
+    machine = TuringMachine.from_rules(
+        [
+            ("s", "0", "s", "a", "R"),
+            ("s", "1", "s", "0", "L"),
+            ("s", BLANK, "s", "1", "L"),
+            ("s", "a", "t", "a", "R"),
+            ("t", "a", "t", "1", "R"),
+            ("t", BLANK, "s", "1", "L"),
+        ],
+        initial="s",
+    )
+    compiled = compile_tm(machine)
+    assert len(compiled.row_ids) == 4  # s, t and one continuation row each
+    assert sorted(compiled.row_ids.values()) == [0, 0, 1, 1]
+    for tape_input in ("", "0" * 50, "0" * 30 + "1" * 30, "a" * 40 + "0" * 9, "1a0" * 20):
+        for fuel in (0, 1, 2, 3, 25, 60, 61, 1000, 100_000):
+            assert_same_result(machine, tape_input, fuel)
+
+
+def test_stay_rewrite_is_a_plain_step():
+    machine = TuringMachine.from_rules(
+        [("s", "0", "s", "1", "S"), ("s", "1", "s", "1", "R")], initial="s"
+    )
+    for tape_input in ("0", "0" * 40, "10" * 20, "x0"):
+        for fuel in (0, 1, 2, 3, 41, 100):
+            assert_same_result(machine, tape_input, fuel)
+
+
+def test_unknown_symbol_ends_a_rewrite_run():
+    for move, tape_input in (("R", "1" * 40 + "z" + "1" * 5), ("L", "1" * 5 + "z" + "1" * 40)):
+        machine = TuringMachine.from_rules(
+            [("s", "1", "s", "0", move), ("s", BLANK, "t", BLANK, move)],
+            initial="s",
+        )
+        start = "" if move == "R" else "1" * 45
+        for fuel in (0, 1, 2, 20, 40, 41, 100):
+            assert_same_result(machine, tape_input, fuel)
+            assert_same_result(machine, start + "z", fuel)
+
+
+@pytest.mark.parametrize("ends", ["0a", "a0", "0_a", "a_0", "00aa", "aa00"])
+def test_the_nearest_terminator_ends_a_run(ends):
+    # Several symbols end the carry's run; the nearest one must, in
+    # whatever order the table lists them.
+    right = TuringMachine.from_rules([("s", "1", "s", "0", "R")], initial="s")
+    left = TuringMachine.from_rules(
+        [(s, c, s, c, "R") for s, c in (("go", "0"), ("go", "1"), ("go", "a"))]
+        + [("go", BLANK, "s", BLANK, "L"), ("s", "1", "s", "0", "L")],
+        initial="go",
+    )
+    for fuel in (5, 21, 100):
+        assert_same_result(right, "1" * 20 + ends, fuel)
+        assert_same_result(left, ends.replace(BLANK, "") + "1" * 20, fuel)
+
+
+def test_long_runs_are_one_macro_each():
+    # The scan and the carry are one macro each: every cell but a
+    # run's first (a plain step) is skipped.  The carry rewrites 1 -> 0.
+    result, _, skips, cells = compile_tm(binary_increment())._run_core("1" * 50_000, 10**6)
+    assert result == binary_increment().run("1" * 50_000, fuel=10**6)
+    assert skips <= 2 and cells >= 99_000
+
+
+def test_one_cell_runs_never_enter_the_macro():
+    # busy_beaver_machine(4) runs in place one cell at a time: every
+    # same-state step is a run's first cell, so a plain step.
+    compiled = compile_tm(busy_beaver_machine(4))
+    result, _, skips, cells = compiled._run_core("", 10_000)
+    assert result == busy_beaver_machine(4).run("", fuel=10_000)
+    assert (skips, cells) == (0, 0)
